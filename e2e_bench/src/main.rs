@@ -18,7 +18,6 @@ mod replay;
 mod report;
 mod requests;
 mod stats;
-mod table2;
 mod trace;
 mod wire;
 
@@ -30,11 +29,11 @@ use crate::stats::{percentile, sorted};
 /// Set-ups per run: at least [`MIN_SETUPS`], and more while their total
 /// is under [`SETUP_BUDGET_S`], up to [`MAX_SETUPS`]. `setup_s` is their
 /// median.
-pub const MIN_SETUPS: usize = 3;
+pub const MIN_SETUPS: usize = 5;
 /// Most set-ups per run.
 pub const MAX_SETUPS: usize = 50;
 /// Seconds of set-up a run aims to spend before it stops repeating.
-pub const SETUP_BUDGET_S: f64 = 0.5;
+pub const SETUP_BUDGET_S: f64 = 1.0;
 
 /// Whether a run that has timed `setups` should set up once more.
 pub fn more_setups(setups: &[f64]) -> bool {
@@ -43,12 +42,7 @@ pub fn more_setups(setups: &[f64]) -> bool {
 }
 
 /// The workloads, in the order `BENCHMARK.json` lists them.
-pub const WORKLOADS: [&str; 4] = [
-    "wire_nnt_1k_miss",
-    "wire_hot_hits",
-    "inproc_mixed_ingest",
-    "paper_table2_cv",
-];
+pub const WORKLOADS: [&str; 2] = ["wire_hot_hits", "inproc_mixed_ingest"];
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,10 +126,8 @@ pub fn phase_summary(
 
 fn run(args: &Args, report: &mut Report) -> Result<(), String> {
     match args.workload.as_str() {
-        "wire_nnt_1k_miss" => wire::run(wire::Wire::NntMiss, args, report),
-        "wire_hot_hits" => wire::run(wire::Wire::HotHits, args, report),
+        "wire_hot_hits" => wire::run(args, report),
         "inproc_mixed_ingest" => inproc::run(args, report),
-        "paper_table2_cv" => table2::run(args, report),
         other => Err(format!("unknown workload {other}")),
     }
 }
@@ -241,10 +233,10 @@ mod tests {
     #[test]
     fn setups_repeat_until_budget_or_cap() {
         assert!(more_setups(&[]));
-        assert!(more_setups(&[1.0, 1.0]));
-        assert!(!more_setups(&[1.0, 1.0, 1.0]));
+        assert!(more_setups(&[1.0; 4]));
+        assert!(!more_setups(&[1.0; 5]));
         assert!(more_setups(&[0.01; 10]));
         assert!(!more_setups(&[0.01; 50]));
-        assert!(!more_setups(&[0.2, 0.2, 0.2]));
+        assert!(!more_setups(&[0.2; 5]));
     }
 }

@@ -5,10 +5,9 @@ use std::collections::BTreeMap;
 use crate::trace::{by_layer, Span};
 
 /// End-to-end metrics, printed by an untraced run: `(name, unit)`.
-pub const END_TO_END: [(&str, &str); 5] = [
+pub const END_TO_END: [(&str, &str); 4] = [
     ("setup_s", "s"),
     ("p50_ms", "ms"),
-    ("p99_ms", "ms"),
     ("throughput_per_s", "1/s"),
     ("rank_corr_mean", "rho"),
 ];
@@ -16,7 +15,7 @@ pub const END_TO_END: [(&str, &str); 5] = [
 /// Layers timed by spans in a traced run. Each yields `<layer>_us` (mean
 /// self time per call; `_ms` for the generator), `<layer>.calls` and
 /// `<layer>.failed`.
-pub const SPAN_LAYERS: [&str; 17] = [
+pub const SPAN_LAYERS: [&str; 16] = [
     "serve_net.protocol.parse",
     "serve_net.protocol.render",
     "core.cache.lookup",
@@ -31,7 +30,6 @@ pub const SPAN_LAYERS: [&str; 17] = [
     "core.model.gaknn",
     "core.ranking.rank",
     "stats.rank.confidence",
-    "core.eval.fold",
     "dataset.database.push",
     "dataset.generator.generate",
 ];

@@ -29,24 +29,37 @@ pub fn mean(values: &[f64]) -> Option<f64> {
     (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
 }
 
-/// Consecutive windows a run's latency tail and throughput are taken
-/// over; their median shrugs off one window hit by outside noise.
-pub const WINDOWS: usize = 5;
+/// Consecutive windows a timed phase is cut into.
+pub const WINDOWS: usize = 40;
 
-/// Splits `items` into `windows` consecutive slices of near-equal length
-/// (fewer when there are fewer items) and returns the median of `f` over
-/// the slices. `None` for no items.
-pub fn median_of_windows<T>(items: &[T], windows: usize, f: impl Fn(&[T]) -> f64) -> Option<f64> {
+/// Share of a phase's windows its metrics are taken over: the quietest
+/// ones. On a shared host another tenant slows a few seconds of a run at
+/// a time; keeping the quieter windows shrugs that off while a change
+/// that slows every window still shows in full.
+pub const QUIET_SHARE: f64 = 0.1;
+
+/// Cuts `items` into `windows` consecutive slices of near-equal length
+/// (fewer when there are fewer items) and returns the [`QUIET_SHARE`] of
+/// them (at least one) with the lowest `cost`, in their original order.
+/// Empty for no items.
+pub fn quiet_windows<T>(items: &[T], windows: usize, cost: impl Fn(&[T]) -> f64) -> Vec<&[T]> {
     let n = windows.min(items.len());
-    let values: Vec<f64> = (0..n)
-        .map(|w| f(&items[w * items.len() / n..(w + 1) * items.len() / n]))
+    let slices: Vec<&[T]> = (0..n)
+        .map(|w| &items[w * items.len() / n..(w + 1) * items.len() / n])
         .collect();
-    median(&values)
+    let costs: Vec<f64> = slices.iter().map(|w| cost(w)).collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]).then(a.cmp(&b)));
+    let keep = ((n as f64 * QUIET_SHARE).ceil() as usize).clamp(n.min(1), n);
+    let mut kept: Vec<usize> = order[..keep].to_vec();
+    kept.sort_unstable();
+    kept.into_iter().map(|w| slices[w]).collect()
 }
 
-/// Nearest-rank p99 of an unsorted sample (`NaN` when empty).
-pub fn p99(values: &[f64]) -> f64 {
-    percentile(&sorted(values), 99.0).unwrap_or(f64::NAN)
+/// The values of the quietest windows of `values`, a window's cost being
+/// its median, pooled in their original order.
+pub fn quiet_values(values: &[f64], windows: usize) -> Vec<f64> {
+    quiet_windows(values, windows, |w| median(w).unwrap_or(f64::INFINITY)).concat()
 }
 
 /// `part / whole`, or `0` when nothing was attempted.
@@ -91,21 +104,27 @@ mod tests {
     }
 
     #[test]
-    fn windows_split_consecutively_and_take_the_median() {
-        let items: Vec<f64> = (1..=10).map(f64::from).collect();
-        // Windows [1,2] [3,4] [5,6] [7,8] [9,10]; their sums' median is 11.
-        assert_eq!(median_of_windows(&items, 5, |w| w.iter().sum()), Some(11.0));
-        // One noisy window does not move the median.
+    fn quiet_windows_keep_the_cheapest_in_order() {
+        let items: Vec<f64> = (1..=40).map(f64::from).collect();
+        // 20 windows of two; the cheapest by sum come first in time.
+        let keep = (20.0 * QUIET_SHARE).ceil() as usize;
+        let kept = quiet_windows(&items, 20, |w| w.iter().sum());
+        let expected: Vec<&[f64]> = (0..keep).map(|w| &items[2 * w..2 * w + 2]).collect();
+        assert_eq!(kept, expected);
+        // A disturbed window is dropped; the rest keep their time order.
         let mut noisy = items.clone();
-        noisy[9] = 1000.0;
-        assert_eq!(median_of_windows(&noisy, 5, |w| w.iter().sum()), Some(11.0));
+        noisy[1] = 1000.0;
+        let kept = quiet_windows(&noisy, 20, |w| w.iter().sum());
+        let expected: Vec<&[f64]> = (1..=keep).map(|w| &noisy[2 * w..2 * w + 2]).collect();
+        assert_eq!(kept, expected);
+        // Fewer items than windows: one window per item, at least one kept.
+        assert_eq!(quiet_windows(&items[..1], 5, |w| w[0]).len(), 1);
+        assert!(quiet_windows::<f64>(&[], 5, |w| w.len() as f64).is_empty());
+        // A window's cost in `quiet_values` is its median.
         assert_eq!(
-            median_of_windows(&items[..2], 5, |w| w.len() as f64),
-            Some(1.0)
+            quiet_values(&[9.0, 9.0, 1.0, 2.0, 8.0, 8.0, 3.0, 4.0], 4)[0],
+            1.0
         );
-        assert_eq!(median_of_windows::<f64>(&[], 5, |w| w.len() as f64), None);
-        assert!(p99(&[]).is_nan());
-        assert_eq!(p99(&[3.0, 1.0, 2.0]), 3.0);
     }
 
     #[test]

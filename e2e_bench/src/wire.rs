@@ -1,6 +1,8 @@
-//! The TCP workloads, `wire_nnt_1k_miss` and `wire_hot_hits`: a
-//! [`NetServer`] with its default configuration, a Poisson open-loop
-//! phase, then a pipelined closed-loop saturation phase.
+//! `wire_hot_hits`: a [`NetServer`] with its default configuration on
+//! the paper's catalog, serving 64 distinct requests over all three models
+//! that set-up warms, so every timed request hits the cache. A Poisson
+//! open-loop phase is followed by a pipelined closed-loop saturation
+//! phase.
 
 use std::convert::Infallible;
 use std::io;
@@ -10,7 +12,7 @@ use std::time::{Duration, Instant};
 use datatrans_core::cache::ResultCache;
 use datatrans_core::serve::{serve_batch, ModelKind, RankRequest, ServeConfig};
 use datatrans_dataset::database::PerfDatabase;
-use datatrans_dataset::generator::{generate, generate_scaled, DatasetConfig, ScaleConfig};
+use datatrans_dataset::generator::{generate, DatasetConfig};
 use datatrans_dataset::view::DatabaseView;
 use datatrans_serve_net::protocol::{parse_line, render_result, write_request, Command};
 use datatrans_serve_net::server::{NetServer, NetServerConfig};
@@ -18,13 +20,17 @@ use datatrans_serve_net::server::{NetServer, NetServerConfig};
 use crate::load::{open_loop, poisson_offsets, saturate, uniform_indices, PhaseResult};
 use crate::replay::Replayer;
 use crate::report::Report;
-use crate::requests::{rank_corr_mean, request, Extras, RANK_CORR_SAMPLE, WARM_SEED};
-use crate::stats::{mean, median, median_of_windows, p99, percentile, ratio, sorted, WINDOWS};
+use crate::requests::{rank_corr_mean, request, Extras, RANK_CORR_SAMPLE};
+use crate::stats::{
+    mean, median, percentile, quiet_values, quiet_windows, ratio, sorted, QUIET_SHARE, WINDOWS,
+};
 use crate::trace::Tracer;
 use crate::{more_setups, phase_summary, Args};
 
 /// Distinct requests of the hot set.
 const HOT_SET: usize = 64;
+/// Arrival rate of the open-loop phase.
+const OPEN_RATE: f64 = 1000.0;
 /// Share of the run spent in the open-loop phase; the rest saturates.
 const OPEN_SHARE: f64 = 0.6;
 /// Requests per batch when measuring the pool fan-out in a traced run.
@@ -34,39 +40,13 @@ const FANOUT_LIMIT: usize = 256;
 /// Most open-loop requests replayed in a traced run.
 const OPEN_REPLAYS: usize = 1000;
 
-/// Request-stream domains, so warm-up, open-loop and saturation requests
-/// never share a fingerprint.
-const DOMAIN_WARM: u64 = 0x11;
+/// Seed domains of the request stream and of each phase's hot-set picks.
 const DOMAIN_OPEN: u64 = 0x22;
 const DOMAIN_SATURATE: u64 = 0x33;
 const DOMAIN_HOT: u64 = 0x44;
 
-/// The two wire workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wire {
-    /// Unique NNᵀ requests on the 1k-machine scale catalog: every request
-    /// misses the cache.
-    NntMiss,
-    /// 64 distinct requests over all three models on the paper's catalog,
-    /// warmed before timing: every timed request hits the cache.
-    HotHits,
-}
-
-impl Wire {
-    fn open_rate(self) -> f64 {
-        match self {
-            Wire::NntMiss => 1000.0,
-            Wire::HotHits => 1000.0,
-        }
-    }
-
-    fn catalog(self) -> Result<PerfDatabase, String> {
-        match self {
-            Wire::NntMiss => generate_scaled(&ScaleConfig::default()),
-            Wire::HotHits => generate(&DatasetConfig::default()),
-        }
-        .map_err(|e| format!("catalog generation failed: {e}"))
-    }
+fn catalog() -> Result<PerfDatabase, String> {
+    generate(&DatasetConfig::default()).map_err(|e| format!("catalog generation failed: {e}"))
 }
 
 /// Request `i` of the hot stream; the hot set is its first [`HOT_SET`].
@@ -86,37 +66,9 @@ fn wire_line(request: &RankRequest) -> String {
     line
 }
 
-/// A workload's requests: request `i` of a phase's domain is either a
-/// fresh request (misses) or a seeded pick from the hot set (hits).
-struct Source<'a> {
-    wire: Wire,
-    db: &'a PerfDatabase,
-    seed: u64,
-    hot: Vec<RankRequest>,
-}
-
-impl Source<'_> {
-    fn fresh(&self, domain: u64, i: usize) -> RankRequest {
-        request(self.db, self.seed, domain, i, ModelKind::NnT, Extras::None)
-    }
-
-    /// Hot-set picks of the phase in `domain` (empty for fresh requests).
-    fn picks(&self, domain: u64) -> Box<dyn Iterator<Item = usize>> {
-        match self.wire {
-            Wire::NntMiss => Box::new(std::iter::empty()),
-            Wire::HotHits => Box::new(uniform_indices(self.seed ^ domain, HOT_SET)),
-        }
-    }
-
-    /// Request `i` of the phase in `domain`, given its hot-set pick.
-    fn get(&self, domain: u64, i: usize, pick: Option<usize>) -> RankRequest {
-        pick.map_or_else(|| self.fresh(domain, i), |p| self.hot[p].clone())
-    }
-}
-
 /// Per-phase accounting against the expected response lines: `(ok,
 /// failed)`. An `err` line counts as failed even when expected, since no
-/// request of these workloads should fail.
+/// request of this workload should fail.
 fn check_phase(phase: &PhaseResult, expected: &[&str]) -> (usize, usize) {
     let ok = phase
         .responses()
@@ -126,64 +78,29 @@ fn check_phase(phase: &PhaseResult, expected: &[&str]) -> (usize, usize) {
     (ok, phase.sent.max(expected.len()) - ok)
 }
 
-/// The lines a phase expects: rendered fresh for misses, or the hot set's
-/// warm-up lines by reference for hits (a saturated hot phase sends
-/// hundreds of thousands of requests).
-fn expected_lines<'a>(
-    wire: Wire,
-    fresh: &'a [String],
-    hot: &'a [String],
-    picks: &[usize],
-) -> Vec<&'a str> {
-    match wire {
-        Wire::NntMiss => fresh.iter().map(String::as_str).collect(),
-        Wire::HotHits => picks.iter().map(|&p| hot[p].as_str()).collect(),
-    }
-}
-
 fn spawn(db: &Arc<PerfDatabase>) -> io::Result<NetServer> {
     let view: Arc<dyn DatabaseView + Send + Sync> = db.clone();
     NetServer::spawn(view, "127.0.0.1:0", NetServerConfig::default())
 }
 
-/// Runs a wire workload.
+/// Runs the workload.
 ///
 /// # Errors
 ///
 /// Returns a message when the catalog cannot be built or a socket
 /// operation fails outright.
-pub fn run(wire: Wire, args: &Args, report: &mut Report) -> Result<(), String> {
+pub fn run(args: &Args, report: &mut Report) -> Result<(), String> {
     let io_err = |e: io::Error| format!("socket error: {e}");
     let serve_config = ServeConfig::default();
     let server_config = NetServerConfig::default();
     // Requests are a pure function of the (deterministic) catalog and the
     // seed, so they are generated once, outside the timed set-up.
-    let prototype = wire.catalog()?;
-    let source = Source {
-        wire,
-        db: &prototype,
-        seed: args.seed,
-        hot: (0..HOT_SET)
-            .map(|i| hot_request(&prototype, args.seed, i))
-            .collect(),
-    };
-    let warm_requests: Vec<RankRequest> = match wire {
-        Wire::NntMiss => (0..16)
-            .map(|i| {
-                request(
-                    &prototype,
-                    WARM_SEED,
-                    DOMAIN_WARM,
-                    i,
-                    ModelKind::NnT,
-                    Extras::None,
-                )
-            })
-            .collect(),
-        Wire::HotHits => source.hot.clone(),
-    };
-    let warm_lines: Vec<String> = warm_requests.iter().map(wire_line).collect();
-    let zero_offsets = vec![Duration::ZERO; warm_lines.len()];
+    let prototype = catalog()?;
+    let hot: Vec<RankRequest> = (0..HOT_SET)
+        .map(|i| hot_request(&prototype, args.seed, i))
+        .collect();
+    let hot_lines: Vec<String> = hot.iter().map(wire_line).collect();
+    let zero_offsets = vec![Duration::ZERO; hot_lines.len()];
 
     // Set-up: catalog, server, warm-up; several times, keeping the last.
     let mut tracer = Tracer::default();
@@ -192,68 +109,56 @@ pub fn run(wire: Wire, args: &Args, report: &mut Report) -> Result<(), String> {
     while more_setups(&setups) {
         drop(state.take());
         let start = Instant::now();
-        let db = Arc::new(tracer.leaf("dataset.generator.generate", None, 0, || wire.catalog())?);
+        let db = Arc::new(tracer.leaf("dataset.generator.generate", None, 0, catalog)?);
         let server = spawn(&db).map_err(io_err)?;
-        let warm = open_loop(server.local_addr(), &warm_lines, &zero_offsets).map_err(io_err)?;
+        let warm = open_loop(server.local_addr(), &hot_lines, &zero_offsets).map_err(io_err)?;
         setups.push(start.elapsed().as_secs_f64());
         state = Some((db, server, warm));
     }
     let (db, server, warm) = state.ok_or("no set-up ran")?;
     let addr = server.local_addr();
 
-    // Timed phases.
+    // Timed phases: uniform seeded picks from the hot set.
     let offsets = poisson_offsets(
         args.seed,
-        wire.open_rate(),
+        OPEN_RATE,
         Duration::from_secs_f64(args.seconds * OPEN_SHARE),
     );
-    let open_picks: Vec<usize> = source.picks(DOMAIN_OPEN).take(offsets.len()).collect();
-    let open_requests: Vec<RankRequest> = (0..offsets.len())
-        .map(|i| source.get(DOMAIN_OPEN, i, open_picks.get(i).copied()))
+    let open_picks: Vec<usize> = uniform_indices(args.seed ^ DOMAIN_OPEN, HOT_SET)
+        .take(offsets.len())
         .collect();
-    let open_lines: Vec<String> = open_requests.iter().map(wire_line).collect();
+    let open_lines: Vec<String> = open_picks.iter().map(|&p| hot_lines[p].clone()).collect();
     let open = open_loop(addr, &open_lines, &offsets).map_err(io_err)?;
-    let hot_lines: Vec<String> = source.hot.iter().map(wire_line).collect();
-    let mut picks = source.picks(DOMAIN_SATURATE);
+    let mut picks = uniform_indices(args.seed ^ DOMAIN_SATURATE, HOT_SET);
     let mut saturate_picks = Vec::new();
     let saturated = saturate(
         addr,
         server_config.max_inflight,
         Duration::from_secs_f64(args.seconds * (1.0 - OPEN_SHARE)),
-        |i| match picks.next() {
-            Some(pick) => {
-                saturate_picks.push(pick);
-                hot_lines[pick].clone()
-            }
-            None => wire_line(&source.fresh(DOMAIN_SATURATE, i)),
+        |_| {
+            // `uniform_indices` never ends.
+            let pick = picks.next().unwrap_or_default();
+            saturate_picks.push(pick);
+            hot_lines[pick].clone()
         },
     )
     .map_err(io_err)?;
     let stats = server.join();
 
     // Correctness: every response byte-for-byte against in-process
-    // serving, computed untimed.
-    let render = |requests: &[RankRequest]| -> Vec<String> {
-        serve_batch(&*db, requests, &serve_config)
-            .iter()
-            .map(render_result)
-            .collect()
+    // serving of the hot set, computed untimed.
+    let warm_expected: Vec<String> = serve_batch(&*db, &hot, &serve_config)
+        .iter()
+        .map(render_result)
+        .collect();
+    let expected = |picks: &[usize]| -> Vec<&str> {
+        picks.iter().map(|&p| warm_expected[p].as_str()).collect()
     };
-    let warm_expected = render(&warm_requests);
-    let fresh_expected = |domain: u64, n: usize| -> Vec<String> {
-        match wire {
-            Wire::NntMiss => render(&(0..n).map(|i| source.fresh(domain, i)).collect::<Vec<_>>()),
-            Wire::HotHits => Vec::new(),
-        }
-    };
-    let open_owned = fresh_expected(DOMAIN_OPEN, open.sent);
-    let saturate_owned = fresh_expected(DOMAIN_SATURATE, saturated.sent);
-    let open_expected = expected_lines(wire, &open_owned, &warm_expected, &open_picks);
-    let saturate_expected = expected_lines(wire, &saturate_owned, &warm_expected, &saturate_picks);
+    let open_expected = expected(&open_picks);
     let warm_refs: Vec<&str> = warm_expected.iter().map(String::as_str).collect();
     let (warm_ok, warm_failed) = check_phase(&warm, &warm_refs);
     let (open_ok, open_failed) = check_phase(&open, &open_expected);
-    let (saturate_ok, saturate_failed) = check_phase(&saturated, &saturate_expected);
+    let (saturate_ok, saturate_failed) = check_phase(&saturated, &expected(&saturate_picks));
     phase_summary(
         "warm_up",
         warm.sent,
@@ -283,46 +188,44 @@ pub fn run(wire: Wire, args: &Args, report: &mut Report) -> Result<(), String> {
         warm_failed + open_failed + saturate_failed == 0,
     );
     report.check("server saw no protocol errors", stats.protocol_errors == 0);
-    match wire {
-        Wire::NntMiss => report.check("no request hit the cache", stats.hits == 0),
-        Wire::HotHits => report.check(
-            "every timed request hit the cache",
-            stats.misses == warm.sent as u64 && stats.hits == (open.sent + saturated.sent) as u64,
-        ),
-    }
+    report.check(
+        "every timed request hit the cache",
+        stats.misses == warm.sent as u64 && stats.hits == (open.sent + saturated.sent) as u64,
+    );
     report.attempted += (open.sent + saturated.sent) as u64;
     report.failed += (open_failed + saturate_failed) as u64;
 
-    // End-to-end metrics.
-    let latencies = sorted(&open.latencies_us);
+    // End-to-end metrics, each over the quiet windows of its phase.
+    let latencies = sorted(&quiet_values(&open.latencies_us, WINDOWS));
     let p50_ms = percentile(&latencies, 50.0).unwrap_or(f64::NAN) / 1e3;
-    let p99_ms = median_of_windows(&open.latencies_us, WINDOWS, p99).unwrap_or(f64::NAN) / 1e3;
-    // Completion rate of each window of responses: its responses after
-    // the first, over the time from its first to its last arrival.
-    let max_rps = median_of_windows(&saturated.arrivals_s, WINDOWS, |w| {
-        ratio((w.len() - 1) as f64, w[w.len() - 1] - w[0])
-    })
-    .unwrap_or(f64::NAN);
-    // Ranking quality over the first requests of the workload's stream
-    // (for hot hits, the hot set's generator run past the hot set).
-    let corr_requests: Vec<RankRequest> = match wire {
-        Wire::NntMiss => (0..RANK_CORR_SAMPLE)
-            .map(|i| source.fresh(DOMAIN_OPEN, i))
-            .collect(),
-        Wire::HotHits => (0..RANK_CORR_SAMPLE)
-            .map(|i| hot_request(&prototype, args.seed, i))
-            .collect(),
-    };
+    let p90_ms = percentile(&latencies, 90.0).unwrap_or(f64::NAN) / 1e3;
+    let p99_ms = percentile(&latencies, 99.0).unwrap_or(f64::NAN) / 1e3;
+    // Completion rate of windows of responses: responses after a window's
+    // first, over the time from its first to its last arrival.
+    let completions = |w: &[f64]| ((w.len() - 1) as f64, w[w.len() - 1] - w[0]);
+    let busiest = quiet_windows(&saturated.arrivals_s, WINDOWS, |w| {
+        let (done, span) = completions(w);
+        -ratio(done, span)
+    });
+    let max_rps = ratio(
+        busiest.iter().map(|w| completions(w).0).sum(),
+        busiest.iter().map(|w| completions(w).1).sum(),
+    );
+    // Ranking quality over the hot set's generator run past the hot set.
+    let corr_requests: Vec<RankRequest> = (0..RANK_CORR_SAMPLE)
+        .map(|i| hot_request(&prototype, args.seed, i))
+        .collect();
     let (rank_corr_mean, corr_count) = rank_corr_mean(&*db, &corr_requests, &serve_config);
     let setup_s = median(&setups).unwrap_or(f64::NAN);
     let name = &args.workload;
     println!(
-        "{name}: open loop at {} rps: p50_ms {p50_ms} ms, p99_ms {p99_ms} ms (median of {WINDOWS} windows' p99) over {} responses",
-        wire.open_rate(),
-        latencies.len()
+        "{name}: open loop at {OPEN_RATE} rps: p50_ms {p50_ms} ms, p90 {p90_ms} ms, p99 {p99_ms} ms over the {} responses of the quietest {QUIET_SHARE} of {WINDOWS} windows (all {}: p50 {} ms)",
+        latencies.len(),
+        open.latencies_us.len(),
+        median(&open.latencies_us).unwrap_or(f64::NAN) / 1e3
     );
     println!(
-        "{name}: saturation: max_rps {max_rps} 1/s (median of {WINDOWS} windows; {saturate_ok} correct responses in {} s)",
+        "{name}: saturation: max_rps {max_rps} 1/s (busiest {QUIET_SHARE} of {WINDOWS} windows; all: {saturate_ok} correct responses in {} s)",
         saturated.elapsed_s
     );
     println!("{name}: rank_corr_mean {rank_corr_mean} rho over {corr_count} full rankings");
@@ -341,7 +244,6 @@ pub fn run(wire: Wire, args: &Args, report: &mut Report) -> Result<(), String> {
     );
     report.set("setup_s", setup_s);
     report.set("p50_ms", p50_ms);
-    report.set("p99_ms", p99_ms);
     report.set("throughput_per_s", max_rps);
     report.set("rank_corr_mean", rank_corr_mean);
     if !args.trace {
@@ -364,12 +266,10 @@ pub fn run(wire: Wire, args: &Args, report: &mut Report) -> Result<(), String> {
     cache.sync_version(db.catalog_version());
     let mut mismatches = 0;
     let mut id = 0u64;
-    if wire == Wire::HotHits {
-        for (line, want) in warm_lines.iter().zip(&warm_expected) {
-            id += 1;
-            let (got, _) = replay_line(&mut replayer, &mut cache, &*db, id, line);
-            mismatches += usize::from(got.as_deref() != Some(want.as_str()));
-        }
+    for (line, want) in hot_lines.iter().zip(&warm_expected) {
+        id += 1;
+        let (got, _) = replay_line(&mut replayer, &mut cache, &*db, id, line);
+        mismatches += usize::from(got.as_deref() != Some(want.as_str()));
     }
     let mut waits = Vec::new();
     let replays = open.received().min(OPEN_REPLAYS);
