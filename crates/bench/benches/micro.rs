@@ -9,12 +9,11 @@
 //! pooled, the persistent pool vs per-call scoped spawning at
 //! GA-generation granularity, the parallel executor's thread scaling, and
 //! the database layer at scale: point queries/gathers (`db_query`) and
-//! row/shard scans (`db_shard_scan`) on a 1k-machine catalog, dense vs
-//! sharded, plus the serving layer: pool-fanned sharded gathers
-//! (`db_gather_par`), the batched ranking-query front end
-//! (`query_batch`), dense vs sharded-with-pruning, the versioned result
-//! cache cold vs warm (`serve_cache`), streaming machine ingest with
-//! tail-shard splitting (`db_ingest`), bootstrap rank-confidence
+//! row/block scans (`db_shard_scan`) on a 1k-machine catalog, one block
+//! vs 8 blocks, plus the serving layer: the batched ranking-query front
+//! end (`query_batch`), one block vs 8 blocks with pruning, the versioned
+//! result cache cold vs warm (`serve_cache`), streaming machine ingest
+//! into the tail block (`db_ingest`), bootstrap rank-confidence
 //! intervals sequential vs pooled (`rank_ci`), the serving path with
 //! the confidence annex enabled vs plain (`serve_noisy`), the TCP
 //! front end's warm loopback round trip vs warm in-process serving
@@ -24,19 +23,17 @@
 //! fit/projection kernels behind the bucket index (`pca_project`).
 
 use datatrans_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use datatrans_bench::{bench_database, bench_scaled_database, bench_sharded_database, bench_task};
+use datatrans_bench::{bench_blocked_database, bench_database, bench_scaled_database, bench_task};
 use datatrans_core::cache::ResultCache;
 use datatrans_core::model::{GaKnn, GaKnnConfig, MlpT, NnT, Predictor};
 use datatrans_core::serve::{
     serve_batch, serve_batch_cached, AppOfInterest, ApproxConfig, ConfidenceConfig, ModelKind,
     RankRequest, ServeConfig,
 };
-use datatrans_dataset::generator::{
-    generate, generate_scaled, synthesize_ingest, DatasetConfig, NoiseConfig, ScaleConfig,
-};
+use datatrans_dataset::database::PerfDatabase;
+use datatrans_dataset::generator::{generate, synthesize_ingest, DatasetConfig, NoiseConfig};
 use datatrans_dataset::machine::ProcessorFamily;
 use datatrans_dataset::query::MachineFilter;
-use datatrans_dataset::sharded::ShardedPerfDatabase;
 use datatrans_dataset::view::DatabaseView;
 use datatrans_experiments::serve::synth_requests;
 use datatrans_linalg::{solve::lstsq, Matrix};
@@ -482,14 +479,13 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Point queries and gathers against the 1k-machine scale catalog, dense
-/// vs sharded (8 shards) vs the per-worker shard-cursor handle. Lookups
-/// return the same stored `f64` on every backing; the groups measure the
-/// cost of the shard indirection and what the cursor buys back on the
-/// range-local access patterns the harnesses actually have.
+/// Point queries and gathers against the 1k-machine scale catalog, one
+/// block (the generator's layout, ids `*_dense_*`) vs 8 blocks. Lookups
+/// return the same stored `f64` on every layout; the groups measure the
+/// cost of the block indirection.
 fn bench_db_query(c: &mut Criterion) {
     let dense = bench_scaled_database();
-    let sharded = bench_sharded_database(&dense);
+    let blocked = bench_blocked_database(&dense);
     let n_machines = dense.n_machines();
     let n_benchmarks = dense.n_benchmarks();
 
@@ -518,19 +514,15 @@ fn bench_db_query(c: &mut Criterion) {
             std::hint::black_box(sum)
         })
     });
-    group.bench_function("score_sharded8_1k", |bch| {
+    group.bench_function("score_blocks8_1k", |bch| {
         bch.iter(|| {
-            let sum: f64 = probes
-                .iter()
-                .map(|&(b, m)| DatabaseView::score(&sharded, b, m))
-                .sum();
+            let sum: f64 = probes.iter().map(|&(b, m)| blocked.score(b, m)).sum();
             std::hint::black_box(sum)
         })
     });
-    group.bench_function("score_reader_local_1k", |bch| {
+    group.bench_function("score_local_blocks8_1k", |bch| {
         bch.iter(|| {
-            let reader = sharded.reader();
-            let sum: f64 = local_probes.iter().map(|&(b, m)| reader.score(b, m)).sum();
+            let sum: f64 = local_probes.iter().map(|&(b, m)| blocked.score(b, m)).sum();
             std::hint::black_box(sum)
         })
     });
@@ -541,125 +533,75 @@ fn bench_db_query(c: &mut Criterion) {
     group.bench_function("gather_family_dense_1k", |bch| {
         bch.iter(|| std::hint::black_box(DatabaseView::gather(&dense, &rows, &xeon).rows()))
     });
-    group.bench_function("gather_family_sharded8_1k", |bch| {
-        bch.iter(|| std::hint::black_box(DatabaseView::gather(&sharded, &rows, &xeon).rows()))
+    group.bench_function("gather_family_blocks8_1k", |bch| {
+        bch.iter(|| std::hint::black_box(DatabaseView::gather(&blocked, &rows, &xeon).rows()))
     });
     group.bench_function("gather_scattered_dense_1k", |bch| {
         bch.iter(|| std::hint::black_box(DatabaseView::gather(&dense, &rows, &scattered).rows()))
     });
-    group.bench_function("gather_scattered_sharded8_1k", |bch| {
-        bch.iter(|| std::hint::black_box(DatabaseView::gather(&sharded, &rows, &scattered).rows()))
+    group.bench_function("gather_scattered_blocks8_1k", |bch| {
+        bch.iter(|| std::hint::black_box(DatabaseView::gather(&blocked, &rows, &scattered).rows()))
     });
     group.finish();
 }
 
-/// Full-row and full-shard scans over the 1k-machine catalog: the
-/// aggregate read patterns (checksums, exports, per-shard statistics) that
-/// sweep whole storage blocks rather than gathering subsets.
+/// Full-row and full-block scans over the 1k-machine catalog: the
+/// aggregate read patterns (checksums, exports, zone maps) that sweep
+/// whole storage blocks rather than gathering subsets.
 fn bench_db_shard_scan(c: &mut Criterion) {
     let dense = bench_scaled_database();
-    let sharded = bench_sharded_database(&dense);
+    let blocked = bench_blocked_database(&dense);
     let n_benchmarks = dense.n_benchmarks();
+    // Benchmark-major: each row is one contiguous run per block.
+    let row_scan = |db: &PerfDatabase| {
+        let mut sum = 0.0;
+        for b in 0..n_benchmarks {
+            for block in db.blocks() {
+                sum += block.scores().row(b).iter().sum::<f64>();
+            }
+        }
+        sum
+    };
 
     let mut group = c.benchmark_group("db_shard_scan");
     group.sample_size(30);
     group.bench_function("row_scan_dense_1k", |bch| {
-        bch.iter(|| {
-            let mut sum = 0.0;
-            for b in 0..n_benchmarks {
-                for segment in DatabaseView::benchmark_row_segments(&dense, b) {
-                    sum += segment.scores.iter().sum::<f64>();
-                }
-            }
-            std::hint::black_box(sum)
-        })
+        bch.iter(|| std::hint::black_box(row_scan(&dense)))
     });
-    group.bench_function("row_scan_sharded8_1k", |bch| {
-        bch.iter(|| {
-            let mut sum = 0.0;
-            for b in 0..n_benchmarks {
-                for segment in DatabaseView::benchmark_row_segments(&sharded, b) {
-                    sum += segment.scores.iter().sum::<f64>();
-                }
-            }
-            std::hint::black_box(sum)
-        })
+    group.bench_function("row_scan_blocks8_1k", |bch| {
+        bch.iter(|| std::hint::black_box(row_scan(&blocked)))
     });
     group.bench_function("shard_block_scan_1k", |bch| {
         bch.iter(|| {
-            // Shard-major order: each shard's block is one contiguous
-            // sweep — the layout the per-shard workers exploit.
+            // Block-major order: each block's matrix is one contiguous
+            // sweep.
             let mut sum = 0.0;
-            for shard in sharded.shards() {
-                sum += shard.scores().as_slice().iter().sum::<f64>();
+            for block in blocked.blocks() {
+                sum += block.scores().as_slice().iter().sum::<f64>();
             }
             std::hint::black_box(sum)
         })
     });
-    group.bench_function("column_scan_sharded8_1k", |bch| {
+    group.bench_function("column_scan_blocks8_1k", |bch| {
         let n_machines = dense.n_machines();
         bch.iter(|| {
             let mut sum = 0.0;
             for m in (0..n_machines).step_by(97) {
-                sum += DatabaseView::machine_column(&sharded, m)
-                    .iter()
-                    .sum::<f64>();
+                sum += blocked.machine_column(m).iter().sum::<f64>();
             }
             std::hint::black_box(sum)
         })
     });
-    group.finish();
-}
-
-/// The sharded gather's pool-fanned row-chunk copies against the inline
-/// loop, on a tall (128-benchmark × 1k-machine) catalog where a gather
-/// has enough rows to distribute. Each sample times a 16-gather burst so
-/// per-dispatch scheduler jitter amortizes (the single-gather numbers are
-/// too bimodal to gate on a busy single-core box). Like the other pooled
-/// groups, the parallel variants only win on multi-core hardware.
-fn bench_db_gather_par(c: &mut Criterion) {
-    const BURST: usize = 16;
-    let dense = generate_scaled(&ScaleConfig {
-        n_benchmarks: 128,
-        ..ScaleConfig::default()
-    })
-    .expect("tall scale dataset generates");
-    let sequential = bench_sharded_database(&dense);
-    let pooled = ShardedPerfDatabase::from_dense(&dense, 8)
-        .expect("8 shards")
-        .with_parallelism(Parallelism::Threads(4));
-    let rows: Vec<usize> = (0..dense.n_benchmarks()).collect();
-    let family = DatabaseView::machines_in_family(&dense, ProcessorFamily::Xeon);
-    let scattered: Vec<usize> = (0..dense.n_machines()).step_by(7).collect();
-
-    let mut group = c.benchmark_group("db_gather_par");
-    group.sample_size(30);
-    let variants: [(&str, &ShardedPerfDatabase, &[usize]); 4] = [
-        ("family_seq8_128x1k_x16", &sequential, &family),
-        ("family_pool4_128x1k_x16", &pooled, &family),
-        ("scattered_seq8_128x1k_x16", &sequential, &scattered),
-        ("scattered_pool4_128x1k_x16", &pooled, &scattered),
-    ];
-    for (name, db, cols) in variants {
-        group.bench_function(name, |bch| {
-            bch.iter(|| {
-                let mut total = 0usize;
-                for _ in 0..BURST {
-                    total += DatabaseView::gather(db, &rows, cols).rows();
-                }
-                std::hint::black_box(total)
-            })
-        });
-    }
     group.finish();
 }
 
 /// The batched ranking-query front end: the serve driver's synthetic mix
 /// (all three models, family/year/score restrictions) served in one pool
-/// pass — dense vs sharded-with-pruning, sequential vs pooled fan-out.
+/// pass — one block vs 8 blocks with pruning, sequential vs pooled
+/// fan-out.
 fn bench_query_batch(c: &mut Criterion) {
     let dense = bench_database();
-    let sharded = bench_sharded_database_117(&dense);
+    let blocked = bench_blocked_database(&dense);
     let (requests, _labels) = synth_requests(&dense, 16, 5, 42);
     let config = |parallelism| ServeConfig {
         parallelism,
@@ -672,13 +614,13 @@ fn bench_query_batch(c: &mut Criterion) {
         let cfg = config(Parallelism::Sequential);
         bch.iter(|| std::hint::black_box(serve_batch(&dense, &requests, &cfg)))
     });
-    group.bench_function("mixed16_sharded8_seq", |bch| {
+    group.bench_function("mixed16_blocks8_seq", |bch| {
         let cfg = config(Parallelism::Sequential);
-        bch.iter(|| std::hint::black_box(serve_batch(&sharded, &requests, &cfg)))
+        bch.iter(|| std::hint::black_box(serve_batch(&blocked, &requests, &cfg)))
     });
-    group.bench_function("mixed16_sharded8_pool4", |bch| {
+    group.bench_function("mixed16_blocks8_pool4", |bch| {
         let cfg = config(Parallelism::Threads(4));
-        bch.iter(|| std::hint::black_box(serve_batch(&sharded, &requests, &cfg)))
+        bch.iter(|| std::hint::black_box(serve_batch(&blocked, &requests, &cfg)))
     });
     group.finish();
 }
@@ -691,7 +633,7 @@ fn bench_query_batch(c: &mut Criterion) {
 /// same run (`bench_diff --require-faster`).
 fn bench_serve_cache(c: &mut Criterion) {
     let dense = bench_database();
-    let sharded = bench_sharded_database_117(&dense);
+    let blocked = bench_blocked_database(&dense);
     let (requests, _labels) = synth_requests(&dense, 16, 5, 42);
     let cfg = ServeConfig {
         parallelism: Parallelism::Sequential,
@@ -700,18 +642,18 @@ fn bench_serve_cache(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("serve_cache");
     group.sample_size(10);
-    group.bench_function("cold_mixed16_sharded8", |bch| {
+    group.bench_function("cold_mixed16_blocks8", |bch| {
         bch.iter(|| {
             let mut cache = ResultCache::new(64);
-            let batch = serve_batch_cached(&sharded, &requests, &cfg, &mut cache);
+            let batch = serve_batch_cached(&blocked, &requests, &cfg, &mut cache);
             std::hint::black_box(batch.misses)
         })
     });
-    group.bench_function("warm_mixed16_sharded8", |bch| {
+    group.bench_function("warm_mixed16_blocks8", |bch| {
         let mut cache = ResultCache::new(64);
-        serve_batch_cached(&sharded, &requests, &cfg, &mut cache);
+        serve_batch_cached(&blocked, &requests, &cfg, &mut cache);
         bch.iter(|| {
-            let batch = serve_batch_cached(&sharded, &requests, &cfg, &mut cache);
+            let batch = serve_batch_cached(&blocked, &requests, &cfg, &mut cache);
             std::hint::black_box(batch.hits)
         })
     });
@@ -719,39 +661,25 @@ fn bench_serve_cache(c: &mut Criterion) {
 }
 
 /// Streaming ingest on the 1k-machine catalog: appending a 64-machine
-/// batch to the dense matrix and to the 8-shard backing (tail-shard
-/// rebuild + in-place stats), plus the variant whose tail crosses the
-/// split threshold and rebalances into new shards. Each iteration clones
+/// batch to the single block (whole-matrix rebuild) and to the tail of 8
+/// blocks (tail-block rebuild + in-place zone map). Each iteration clones
 /// the catalog first (ingest mutates); `clone_baseline` prices that clone
 /// so the push cost can be read as the difference.
 fn bench_db_ingest(c: &mut Criterion) {
     let dense = bench_scaled_database();
-    let sharded = bench_sharded_database(&dense);
-    // 8 shards over 1k machines: tail width 125. The split variant's
-    // threshold of 150 makes the 64-machine push (125 + 64 = 189) split.
-    let splitting = ShardedPerfDatabase::from_dense(&dense, 8)
-        .expect("8 shards")
-        .with_split_width(150)
-        .expect("valid threshold");
+    let blocked = bench_blocked_database(&dense);
     let batch = synthesize_ingest(0xD1CE, dense.benchmarks(), 64, 0.015).expect("ingest batch");
 
     let mut group = c.benchmark_group("db_ingest");
     group.sample_size(30);
-    group.bench_function("clone_baseline_sharded8_1k", |bch| {
-        bch.iter(|| std::hint::black_box(sharded.clone().n_machines()))
+    group.bench_function("clone_baseline_blocks8_1k", |bch| {
+        bch.iter(|| std::hint::black_box(blocked.clone().n_machines()))
     });
-    group.bench_function("push64_sharded8_1k", |bch| {
+    group.bench_function("push64_blocks8_1k", |bch| {
         bch.iter(|| {
-            let mut db = sharded.clone();
+            let mut db = blocked.clone();
             db.push_machines(&batch).expect("pushes");
             std::hint::black_box(db.n_machines())
-        })
-    });
-    group.bench_function("push64_split_sharded8_1k", |bch| {
-        bch.iter(|| {
-            let mut db = splitting.clone();
-            db.push_machines(&batch).expect("pushes");
-            std::hint::black_box(db.n_shards())
         })
     });
     group.bench_function("push64_dense_1k", |bch| {
@@ -801,12 +729,12 @@ fn bench_rank_ci(c: &mut Criterion) {
 }
 
 /// The serving path with the confidence annex: the same 8-request batch
-/// served plain vs with bootstrap rank CIs and tie groups, on the
-/// 8-shard backing. The gap is the per-request measurement synthesis +
-/// bootstrap cost riding on top of model time.
+/// served plain vs with bootstrap rank CIs and tie groups, on 8 column
+/// blocks. The gap is the per-request measurement synthesis + bootstrap
+/// cost riding on top of model time.
 fn bench_serve_noisy(c: &mut Criterion) {
     let dense = bench_database();
-    let sharded = bench_sharded_database_117(&dense);
+    let blocked = bench_blocked_database(&dense);
     let (requests, _labels) = synth_requests(&dense, 8, 5, 42);
     let cfg = ServeConfig {
         parallelism: Parallelism::Sequential,
@@ -823,11 +751,11 @@ fn bench_serve_noisy(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("serve_noisy");
     group.sample_size(10);
-    group.bench_function("mixed8_plain_sharded8", |bch| {
-        bch.iter(|| std::hint::black_box(serve_batch(&sharded, &requests, &cfg)))
+    group.bench_function("mixed8_plain_blocks8", |bch| {
+        bch.iter(|| std::hint::black_box(serve_batch(&blocked, &requests, &cfg)))
     });
-    group.bench_function("mixed8_confidence_sharded8", |bch| {
-        bch.iter(|| std::hint::black_box(serve_batch(&sharded, &with_confidence, &cfg)))
+    group.bench_function("mixed8_confidence_blocks8", |bch| {
+        bch.iter(|| std::hint::black_box(serve_batch(&blocked, &with_confidence, &cfg)))
     });
     group.finish();
 }
@@ -969,15 +897,6 @@ fn bench_pca_project(c: &mut Criterion) {
     group.finish();
 }
 
-/// The paper-sized (29 × 117) database partitioned 8 ways, for the
-/// serving benches (the 1k fixture would drown the planner in model
-/// time).
-fn bench_sharded_database_117(
-    dense: &datatrans_dataset::database::PerfDatabase,
-) -> ShardedPerfDatabase {
-    ShardedPerfDatabase::from_dense(dense, 8).expect("8 shards over 117 machines")
-}
-
 criterion_group!(
     benches,
     bench_predictors,
@@ -993,7 +912,6 @@ criterion_group!(
     bench_parallel_scaling,
     bench_db_query,
     bench_db_shard_scan,
-    bench_db_gather_par,
     bench_query_batch,
     bench_serve_cache,
     bench_db_ingest,

@@ -12,7 +12,6 @@ use datatrans_core::task::PredictionTask;
 use datatrans_dataset::database::PerfDatabase;
 use datatrans_dataset::generator::{generate, generate_scaled, DatasetConfig, ScaleConfig};
 use datatrans_dataset::machine::ProcessorFamily;
-use datatrans_dataset::sharded::ShardedPerfDatabase;
 use datatrans_experiments::ExperimentConfig;
 
 /// The standard benchmark database (default seed).
@@ -26,9 +25,9 @@ pub fn bench_scaled_database() -> PerfDatabase {
     generate_scaled(&ScaleConfig::default()).expect("default scale dataset generates")
 }
 
-/// The 1k-machine database partitioned into 8 column-range shards.
-pub fn bench_sharded_database(dense: &PerfDatabase) -> ShardedPerfDatabase {
-    ShardedPerfDatabase::from_dense(dense, 8).expect("8 shards over 1000 machines")
+/// A catalog re-blocked into 8 balanced column blocks.
+pub fn bench_blocked_database(db: &PerfDatabase) -> PerfDatabase {
+    db.reblock(8).expect("8 blocks over at least 8 machines")
 }
 
 /// A representative single prediction task: Xeon family as targets,
@@ -67,7 +66,7 @@ mod tests {
         let dense = bench_scaled_database();
         assert_eq!(dense.n_machines(), 1000);
         assert_eq!(dense.n_benchmarks(), 29);
-        let sharded = bench_sharded_database(&dense);
-        assert_eq!(sharded.n_shards(), 8);
+        let blocked = bench_blocked_database(&dense);
+        assert_eq!(blocked.blocks().len(), 8);
     }
 }

@@ -11,7 +11,7 @@
 //! to re-evaluating the request cold, because responses are stored
 //! verbatim and every response is a deterministic function of
 //! `(request, catalog)`. `tests/ingest_cache.rs` pins that identity across
-//! thread counts, backings, and batch orderings.
+//! thread counts, block layouts, and batch orderings.
 //!
 //! Capacity is bounded with least-recently-used eviction. Eviction scans
 //! for the oldest entry in O(capacity) — capacities on the serving path

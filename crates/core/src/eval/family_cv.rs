@@ -46,13 +46,8 @@ impl Default for FamilyCvConfig {
 /// evaluation following Figure 5: the target family's machines and the
 /// application's row are withheld from training.
 ///
-/// Generic over the database backing ([`DatabaseView`]). Each worker of
-/// the fold fan-out reads through its own per-worker handle
-/// ([`DatabaseView::reader`]), so workers never contend on shared lookup
-/// state; on a sharded backing a fold's *target* family occupies a
-/// contiguous machine range (shard-local reads), while the predictive
-/// gather necessarily spans the remaining shards. The report is
-/// bitwise-identical across backings and thread counts.
+/// Generic over the read surface ([`DatabaseView`]). The report is
+/// bitwise-identical across block layouts and thread counts.
 ///
 /// # Errors
 ///
@@ -82,7 +77,7 @@ pub fn family_cross_validation<D: DatabaseView + ?Sized>(
         return Err(CoreError::invalid_task("no methods to evaluate"));
     }
 
-    let run_fold = |view: &dyn DatabaseView, family: ProcessorFamily| -> Result<Vec<CvCell>> {
+    let run_fold = |view: &D, family: ProcessorFamily| -> Result<Vec<CvCell>> {
         let targets = view.machines_in_family(family);
         if targets.is_empty() {
             return Err(CoreError::invalid_task(format!(
@@ -115,19 +110,12 @@ pub fn family_cross_validation<D: DatabaseView + ?Sized>(
         Ok(cells)
     };
 
-    // Each worker reads through its own handle: on a sharded backing the
-    // handle caches the shard serving the last lookup (a fold's target
-    // family is one contiguous machine range, so target-side reads stay
-    // shard-local; the predictive gather still spans the other shards).
-    // Handles never hold result state, so the merged report is
-    // bitwise-identical to the sequential run.
+    // Folds are independent, so the merged report is bitwise-identical to
+    // the sequential run.
     let mut report = CvReport::default();
-    let results: Vec<Result<Vec<CvCell>>> = config.parallelism.par_map_with(
-        2,
-        &families,
-        || db.reader(),
-        |reader, &family| run_fold(reader, family),
-    );
+    let results: Vec<Result<Vec<CvCell>>> = config
+        .parallelism
+        .par_map(2, &families, |&family| run_fold(db, family));
     for r in results {
         report.cells.extend(r?);
     }

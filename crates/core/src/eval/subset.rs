@@ -51,9 +51,8 @@ impl Default for SubsetConfig {
 /// `"size-{k}"`; trials are folded into the per-size aggregate (each trial
 /// contributes its own cells with the same fold label).
 ///
-/// Generic over the database backing ([`DatabaseView`]); draw workers read
-/// through per-worker handles, bitwise-identical across backings and
-/// thread counts.
+/// Generic over the read surface ([`DatabaseView`]); bitwise-identical
+/// across block layouts and thread counts.
 ///
 /// # Errors
 ///
@@ -94,7 +93,7 @@ pub fn subset_evaluation<D: DatabaseView + ?Sized>(
 
     // Fan the (size × trial) grid out across the executor; each draw has
     // its own derived seed, so the cells are order-independent.
-    let run_draw = |view: &dyn DatabaseView, size: usize, trial: usize| -> Result<Vec<CvCell>> {
+    let run_draw = |view: &D, size: usize, trial: usize| -> Result<Vec<CvCell>> {
         let draw_seed = config
             .seed
             .wrapping_mul(0xA076_1D64_78BD_642F)
@@ -126,18 +125,9 @@ pub fn subset_evaluation<D: DatabaseView + ?Sized>(
     };
 
     let n_draws = config.sizes.len() * config.trials;
-    let results: Vec<Result<Vec<CvCell>>> = config.parallelism.par_map_indexed_with(
-        2,
-        n_draws,
-        || db.reader(),
-        |reader, idx| {
-            run_draw(
-                reader,
-                config.sizes[idx / config.trials],
-                idx % config.trials,
-            )
-        },
-    );
+    let results: Vec<Result<Vec<CvCell>>> = config.parallelism.par_map_indexed(2, n_draws, |idx| {
+        run_draw(db, config.sizes[idx / config.trials], idx % config.trials)
+    });
     let mut report = CvReport::default();
     for r in results {
         report.cells.extend(r?);

@@ -23,9 +23,9 @@
 //!   heterogeneous-cluster scheduler, and design-space exploration.
 //! * [`analysis`] — PCA machine-similarity analysis: the low-dimensional
 //!   behaviour space that makes transposition work.
-//! * [`serve`] — the batched ranking-query front end: plan (with shard
+//! * [`serve`] — the batched ranking-query front end: plan (with block
 //!   pruning) → gather → predict → rank, many requests per pool pass,
-//!   bitwise-identical at any thread count and on either backing. Each
+//!   bitwise-identical at any thread count and on every block layout. Each
 //!   request validates into a typed per-slot [`serve::ServeError`]
 //!   (fault-isolated batches), and an optional
 //!   [`serve::ConfidenceConfig`] attaches bootstrap rank-confidence

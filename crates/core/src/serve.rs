@@ -6,23 +6,20 @@
 //! ([`ModelKind`]), the predictive machines the requester owns, a
 //! [`MachineFilter`] restricting the candidate targets, and an optional
 //! `top_k` cut. [`serve_batch`] executes many requests in **one pass over
-//! the persistent worker pool**: each worker carries a per-worker
-//! [`DbReader`] handle plus a lazily-built model cache as its scratch, and
-//! every request independently
+//! the persistent worker pool**: each worker carries a lazily-built model
+//! cache as its scratch, and every request independently
 //!
 //! 1. **plans** — [`DatabaseView::plan_machines`] resolves the restriction
-//!    (on a sharded backing, shard statistics prune shards that provably
+//!    (on a multi-block catalog, zone maps prune blocks that provably
 //!    cannot match),
 //! 2. **gathers** — task construction copies exactly the planned columns,
 //! 3. **predicts** — NNᵀ / MLPᵀ / GA-kNN, and
 //! 4. **ranks** — descending predicted score, truncated to `top_k`.
 //!
 //! Responses are returned in request order and are **bitwise-identical**
-//! at any thread count, on dense and sharded backings, and under any
-//! batch permutation (each response depends only on its own request and
-//! the stored data; `tests/query_engine.rs` pins all three properties).
-//!
-//! [`DbReader`]: datatrans_dataset::view::DbReader
+//! at any thread count, on every block layout, and under any batch
+//! permutation (each response depends only on its own request and the
+//! stored data; `tests/query_engine.rs` pins all three properties).
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -227,7 +224,7 @@ pub enum AppOfInterest {
 /// bootstrap over those measurements (see
 /// [`datatrans_stats::rank::bootstrap_rank_confidence`]). The whole
 /// computation is a pure function of `(request, catalog)` — independent of
-/// backing, batch composition, thread count, and cache warmth.
+/// block layout, batch composition, thread count, and cache warmth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceConfig {
     /// Confidence level of every interval, in `(0, 1)` (default `0.95`).
@@ -291,8 +288,7 @@ impl ConfidenceConfig {
 
 /// Parameters of the approximate serving fast path.
 ///
-/// When a request carries one (and the engine is compiled with the
-/// `approx` feature, on by default), serving first **coarse-ranks** the
+/// When a request carries one, serving first **coarse-ranks** the
 /// catalog's PCA buckets: a [`BucketIndex`] built at
 /// `(n_components, n_buckets)` partitions the machines, the request's own
 /// model scores each candidate-holding bucket's reconstructed centroid
@@ -305,7 +301,7 @@ impl ConfidenceConfig {
 ///
 /// `probe_buckets >= n_buckets` provably serves the exact ranking (no
 /// bucket is pruned). Approx responses inherit the full determinism
-/// contract: bitwise-identical across thread counts, backings, batch
+/// contract: bitwise-identical across thread counts, block layouts, batch
 /// order, and cache warmth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApproxConfig {
@@ -448,16 +444,15 @@ pub struct RankResponse {
     pub ranked: Vec<RankedMachine>,
     /// Number of candidate target machines scored (before `top_k`).
     pub candidates: usize,
-    /// Shards the planner examined for this request.
+    /// Column blocks the planner examined for this request.
     pub shards_scanned: usize,
-    /// Shards the planner skipped via statistics or subset range.
+    /// Column blocks the planner skipped via zone map or subset range.
     pub shards_pruned: usize,
     /// Rank-confidence intervals and tie groups; present exactly when the
     /// request carried a [`ConfidenceConfig`].
     pub confidence: Option<RankConfidenceReport>,
     /// What the approximate fast path pruned; present exactly when the
-    /// request carried an [`ApproxConfig`] **and** the engine was
-    /// compiled with the `approx` feature.
+    /// request carried an [`ApproxConfig`].
     pub approx: Option<ApproxReport>,
 }
 
@@ -614,15 +609,12 @@ fn validate_request<D: DatabaseView + ?Sized>(
 type BucketIndexMap = HashMap<(usize, usize), std::result::Result<BucketIndex, DatasetError>>;
 
 /// Builds every distinct bucket index the batch's valid approx requests
-/// need. A no-op (empty map) without the `approx` feature.
+/// need.
 fn build_bucket_indices<D: DatabaseView + ?Sized>(
     db: &D,
     requests: &[RankRequest],
 ) -> BucketIndexMap {
     let mut map = BucketIndexMap::new();
-    if !cfg!(feature = "approx") {
-        return map;
-    }
     for request in requests {
         if let Some(approx) = &request.approx {
             if approx.validate(db.n_benchmarks()).is_err() {
@@ -687,8 +679,7 @@ fn coarse_task<D: DatabaseView + ?Sized>(
 /// centroid score with the request's own model, keep the top
 /// `probe_buckets`, and return the surviving candidates (in planned
 /// order) plus the annex. Returns the full candidate set untouched when
-/// the request carries no [`ApproxConfig`] or the `approx` feature is
-/// compiled out.
+/// the request carries no [`ApproxConfig`].
 fn approx_filter<D: DatabaseView + ?Sized>(
     view: &D,
     request: &RankRequest,
@@ -700,9 +691,6 @@ fn approx_filter<D: DatabaseView + ?Sized>(
     let Some(approx) = &request.approx else {
         return Ok((targets, None));
     };
-    if !cfg!(feature = "approx") {
-        return Ok((targets, None));
-    }
     let index = match indices.get(&(approx.n_components, approx.n_buckets)) {
         Some(Ok(index)) => index,
         Some(Err(e)) => return Err(ServeError::Evaluation(CoreError::Dataset(e.clone()))),
@@ -921,13 +909,13 @@ pub fn serve_one<D: DatabaseView + ?Sized>(
 /// **Fault-isolated**: each request validates and evaluates into its own
 /// slot, so a malformed request yields a typed [`ServeError`] in its slot
 /// while every other slot carries its correct response — one bad request
-/// can neither poison nor panic the batch, on either backing at any
+/// can neither poison nor panic the batch, on any block layout at any
 /// thread count.
 ///
-/// Each worker checks out a per-worker [`DatabaseView::reader`] handle and
-/// a model cache as scratch; requests are otherwise independent, so the
-/// result vector is bitwise-identical at any thread count and under any
-/// batch permutation (permuting requests permutes results identically).
+/// Each worker checks out a model cache as scratch; requests are otherwise
+/// independent, so the result vector is bitwise-identical at any thread
+/// count and under any batch permutation (permuting requests permutes
+/// results identically).
 pub fn serve_batch<D: DatabaseView + ?Sized>(
     db: &D,
     requests: &[RankRequest],
@@ -937,12 +925,11 @@ pub fn serve_batch<D: DatabaseView + ?Sized>(
     // across the whole batch; built on the batch thread so every worker
     // sees the identical (bitwise) index regardless of thread count.
     let indices = build_bucket_indices(db, requests);
-    config.parallelism.par_map_with(
-        2,
-        requests,
-        || (db.reader(), ModelCache::default()),
-        |(reader, cache), request| serve_with(reader, request, config, cache, &indices),
-    )
+    config
+        .parallelism
+        .par_map_with(2, requests, ModelCache::default, |cache, request| {
+            serve_with(db, request, config, cache, &indices)
+        })
 }
 
 /// The answer to one cached batch: per-request results in request order
@@ -971,7 +958,7 @@ pub struct CachedBatch {
 /// A hit is **bitwise-identical** to evaluating the request cold:
 /// responses are stored verbatim, and every response is a deterministic
 /// function of `(request, catalog)` alone — independent of thread count,
-/// backing, and batch composition. Duplicate requests that miss within
+/// block layout, and batch composition. Duplicate requests that miss within
 /// one batch are each evaluated (they produce identical responses, so the
 /// last insert wins and nothing changes); the first hit is only possible
 /// on the *next* batch.
@@ -1032,7 +1019,6 @@ mod tests {
     use super::*;
     use datatrans_dataset::generator::{generate, DatasetConfig};
     use datatrans_dataset::machine::ProcessorFamily;
-    use datatrans_dataset::sharded::ShardedPerfDatabase;
     use datatrans_dataset::workload_synth::{synthesize, WorkloadProfile};
 
     fn quick() -> ServeConfig {
@@ -1294,9 +1280,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_responses_report_pruning() {
+    fn blocked_responses_report_pruning() {
         let db = generate(&DatasetConfig::default()).unwrap();
-        let sharded = ShardedPerfDatabase::from_dense(&db, 8).unwrap();
         let request = RankRequest {
             app: AppOfInterest::Suite(0),
             model: ModelKind::NnT,
@@ -1307,15 +1292,19 @@ mod tests {
             confidence: None,
             approx: None,
         };
-        let dense_response = serve_one(&db, &request, &quick()).unwrap();
-        let sharded_response = serve_one(&sharded, &request, &quick()).unwrap();
-        assert_eq!(dense_response.ranked, sharded_response.ranked);
-        assert_eq!(dense_response.shards_pruned, 0);
-        assert!(sharded_response.shards_pruned > 0);
-        assert_eq!(
-            sharded_response.shards_scanned + sharded_response.shards_pruned,
-            8
-        );
+        let single = serve_one(&db, &request, &quick()).unwrap();
+        assert_eq!((single.shards_scanned, single.shards_pruned), (1, 0));
+        for layout in db.layout_sweep().unwrap() {
+            let n_blocks = layout.blocks().len();
+            let response = serve_one(&layout, &request, &quick()).unwrap();
+            assert_eq!(single.ranked, response.ranked, "{n_blocks} blocks");
+            assert_eq!(response.shards_scanned + response.shards_pruned, n_blocks);
+            assert_eq!(
+                response.shards_pruned > 0,
+                n_blocks > 1,
+                "{n_blocks} blocks"
+            );
+        }
     }
 
     #[test]
@@ -1617,7 +1606,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "approx")]
     #[test]
     fn approx_prunes_and_survivor_scores_match_exact_bits() {
         let db = generate(&DatasetConfig::default()).unwrap();
@@ -1670,7 +1658,6 @@ mod tests {
         assert_eq!(approx_machines, exact_filtered);
     }
 
-    #[cfg(feature = "approx")]
     #[test]
     fn probing_every_bucket_is_provably_exact() {
         let db = generate(&DatasetConfig::default()).unwrap();
@@ -1698,11 +1685,9 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "approx")]
     #[test]
-    fn approx_is_bitwise_identical_across_backings_and_batch_order() {
+    fn approx_is_bitwise_identical_across_block_layouts_and_batch_order() {
         let db = generate(&DatasetConfig::default()).unwrap();
-        let sharded = ShardedPerfDatabase::from_dense(&db, 8).unwrap();
         let requests: Vec<RankRequest> = (0..3)
             .map(|i| RankRequest {
                 app: AppOfInterest::Suite(i),
@@ -1718,37 +1703,17 @@ mod tests {
             .collect();
         let dense = serve_batch(&db, &requests, &quick());
         let reversed: Vec<RankRequest> = requests.iter().rev().cloned().collect();
-        let on_sharded = serve_batch(&sharded, &reversed, &quick());
-        for (i, result) in dense.iter().enumerate() {
-            let a = result.as_ref().unwrap();
-            let b = on_sharded[requests.len() - 1 - i].as_ref().unwrap();
-            assert_eq!(a.ranked, b.ranked);
-            assert_eq!(a.approx, b.approx);
-            for (x, y) in a.ranked.iter().zip(&b.ranked) {
-                assert_eq!(x.predicted_score.to_bits(), y.predicted_score.to_bits());
+        for layout in db.layout_sweep().unwrap() {
+            let on_layout = serve_batch(&layout, &reversed, &quick());
+            for (i, result) in dense.iter().enumerate() {
+                let a = result.as_ref().unwrap();
+                let b = on_layout[requests.len() - 1 - i].as_ref().unwrap();
+                assert_eq!(a.ranked, b.ranked);
+                assert_eq!(a.approx, b.approx);
+                for (x, y) in a.ranked.iter().zip(&b.ranked) {
+                    assert_eq!(x.predicted_score.to_bits(), y.predicted_score.to_bits());
+                }
             }
         }
-    }
-
-    #[cfg(not(feature = "approx"))]
-    #[test]
-    fn without_the_feature_approx_requests_serve_exactly() {
-        let db = generate(&DatasetConfig::default()).unwrap();
-        let exact = RankRequest {
-            predictive: vec![0, 30, 60],
-            ..base_request()
-        };
-        let approximate = RankRequest {
-            approx: Some(ApproxConfig {
-                n_components: 2,
-                n_buckets: 8,
-                probe_buckets: 2,
-            }),
-            ..exact.clone()
-        };
-        let exact_response = serve_one(&db, &exact, &quick()).unwrap();
-        let approx_response = serve_one(&db, &approximate, &quick()).unwrap();
-        assert!(approx_response.approx.is_none());
-        assert_eq!(approx_response.ranked, exact_response.ranked);
     }
 }

@@ -114,9 +114,9 @@ impl PredictionTask {
     /// `app` is the application of interest; the remaining benchmarks are
     /// the training suite.
     ///
-    /// Generic over the database backing ([`DatabaseView`]): dense and
-    /// sharded backings produce bitwise-identical tasks, because the
-    /// gather copies stored scores verbatim either way.
+    /// Generic over the read surface ([`DatabaseView`]): every block
+    /// layout produces bitwise-identical tasks, because the gather copies
+    /// stored scores verbatim.
     ///
     /// The predictive and target machine sets must be disjoint, non-empty
     /// index sets into `db` (the cross-validation splits of Figure 5).
@@ -242,16 +242,15 @@ fn validate_machine_split<D: DatabaseView + ?Sized>(
     Ok(())
 }
 
-/// Gathers the `benchmarks × machines` submatrix through the backing's
+/// Gathers the `benchmarks × machines` submatrix through
 /// [`DatabaseView::gather`].
 ///
 /// The predictive/target machine sets are arbitrary index subsets, so this
 /// gather is the one unavoidable copy of task construction (a strided view
 /// cannot express a scattered column subset). Everything downstream — the
 /// NNᵀ/MLPᵀ/GA-kNN predict paths — reads the gathered matrices through
-/// zero-copy views. Dense backings gather in one pass over the score
-/// matrix; sharded backings locate each column's shard once and copy
-/// verbatim, so the result is bitwise-identical.
+/// zero-copy views. The gather locates each column's block once and
+/// copies verbatim, so the result is bitwise-identical on every layout.
 fn score_submatrix<D: DatabaseView + ?Sized>(
     db: &D,
     benchmarks: &[usize],

@@ -19,10 +19,10 @@
 //!   coarse ranking scores exactly these pseudo-machines.
 //!
 //! The index is a pure function of `(catalog, n_components, n_buckets)`:
-//! it reads scores only through [`DatabaseView`], whose dense and sharded
-//! backings return identical `f64` bits, and every reduction runs in a
-//! fixed sequential order — so the index (and anything derived from it)
-//! is bitwise-identical across backings and thread counts. It stamps the
+//! it reads scores only through [`DatabaseView`], which returns identical
+//! `f64` bits on every block layout, and every reduction runs in a fixed
+//! sequential order — so the index (and anything derived from it) is
+//! bitwise-identical across block layouts and thread counts. It stamps the
 //! [`DatabaseView::catalog_version`] it was built at; after an ingest
 //! moves the version, rebuilding from the grown catalog is **identical to
 //! building from scratch** (there is no incremental state to drift).
@@ -271,7 +271,6 @@ fn reconstruct_column(pca: &Pca, z: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::generator::{generate, synthesize_ingest, DatasetConfig};
-    use crate::sharded::ShardedPerfDatabase;
 
     fn db() -> crate::database::PerfDatabase {
         generate(&DatasetConfig::default()).unwrap()
@@ -323,19 +322,20 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sharded_builds_are_bitwise_identical() {
+    fn builds_are_bitwise_identical_on_every_block_layout() {
         let db = db();
-        let sharded = ShardedPerfDatabase::from_dense(&db, 8).unwrap();
         let a = BucketIndex::build(&db, 3, 8).unwrap();
-        let b = BucketIndex::build(&sharded, 3, 8).unwrap();
-        assert_eq!(a, b);
-        for bucket in 0..a.n_buckets() {
-            for (x, y) in a
-                .centroid_column(bucket)
-                .iter()
-                .zip(b.centroid_column(bucket))
-            {
-                assert_eq!(x.to_bits(), y.to_bits());
+        for layout in db.layout_sweep().unwrap() {
+            let b = BucketIndex::build(&layout, 3, 8).unwrap();
+            assert_eq!(a, b);
+            for bucket in 0..a.n_buckets() {
+                for (x, y) in a
+                    .centroid_column(bucket)
+                    .iter()
+                    .zip(b.centroid_column(bucket))
+                {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
             }
         }
     }

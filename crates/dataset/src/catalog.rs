@@ -194,7 +194,7 @@ pub fn build_machines(seed: u64) -> Vec<Machine> {
 /// so machines of one nickname — and therefore one processor family — stay
 /// **contiguous in column order** exactly like the paper catalog. That
 /// contiguity is what lets family folds and release-year eras map onto
-/// column-range shards.
+/// column blocks.
 ///
 /// Per-instance variation follows the same three SKU grades as
 /// [`build_machines`], cycling every three instances, with slightly wider
@@ -325,7 +325,7 @@ mod tests {
             let machines = build_scaled_machines(7, n);
             assert_eq!(machines.len(), n);
             // Families form contiguous runs: once a family ends it never
-            // reappears (the property shard layouts rely on).
+            // reappears (the property block pruning relies on).
             let mut seen = std::collections::BTreeSet::new();
             let mut current = None;
             for m in &machines {

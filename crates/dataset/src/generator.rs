@@ -110,7 +110,7 @@ fn score_catalog(
 ///
 /// Where [`DatasetConfig`] reproduces the paper's fixed 29 × 117 matrix,
 /// `ScaleConfig` synthesizes catalogs orders of magnitude larger —
-/// 1k–10k machines — for the sharded database's scale tests and benches.
+/// 1k–10k machines — for the database layer's scale tests and benches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleConfig {
     /// Master seed; the whole catalog is a pure function of it.
@@ -204,8 +204,7 @@ pub fn generate_scaled(config: &ScaleConfig) -> Result<PerfDatabase> {
 
 /// Synthesizes a streaming-ingest batch of `n_machines` scored machines
 /// against an existing benchmark suite — the feed for
-/// [`PerfDatabase::push_machines`] and
-/// [`crate::sharded::ShardedPerfDatabase::push_machines`].
+/// [`PerfDatabase::push_machines`].
 ///
 /// Same scoring pipeline as the generators (scale catalog templates,
 /// CPI-stack model, multiplicative lognormal noise), but each entry's

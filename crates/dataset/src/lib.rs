@@ -20,20 +20,19 @@
 //! * [`generator`] — deterministic, seeded assembly of the full
 //!   [`database::PerfDatabase`], with measurement noise, plus synthesis of
 //!   streaming-ingest batches ([`generator::synthesize_ingest`]) appended
-//!   through [`database::PerfDatabase::push_machines`] /
-//!   [`sharded::ShardedPerfDatabase::push_machines`] under a
+//!   through [`database::PerfDatabase::push_machines`] under a
 //!   monotonically increasing catalog version.
 //! * [`workload_synth`] — synthesis of *applications of interest* that are
 //!   not part of the suite, for end-to-end examples.
-//! * [`view`] — the backing-agnostic [`view::DatabaseView`] read surface
-//!   every consumer goes through.
-//! * [`sharded`] — the same table partitioned into machine-range shards
-//!   ([`sharded::ShardedPerfDatabase`]) for serving-scale catalogs; bitwise
-//!   interchangeable with the dense backing.
+//! * [`database`] — the score store: one or more column blocks
+//!   ([`database::Block`]), each a row-major matrix plus a zone map;
+//!   every block layout returns the same bits.
+//! * [`view`] — the [`view::DatabaseView`] read surface every consumer
+//!   goes through.
 //! * [`query`] — machine-restriction filters ([`query::MachineFilter`])
-//!   and the shard-pruning planner: per-shard statistics
-//!   ([`query::ShardStats`]) let the sharded backing skip shards that
-//!   provably cannot match, with plans identical to a full scan.
+//!   and the block-pruning planner: per-block zone maps
+//!   ([`query::ZoneMap`]) let the planner skip blocks that provably
+//!   cannot match, with plans identical to a full scan.
 //! * [`bucket`] — the PCA bucket index ([`bucket::BucketIndex`]) behind
 //!   approximate serving: machines projected into log-score component
 //!   space and sliced into equal-width buckets along the leading
@@ -69,16 +68,14 @@ pub mod machine;
 pub mod microarch;
 pub mod perf_model;
 pub mod query;
-pub mod sharded;
 pub mod view;
 pub mod workload_synth;
 
 pub use bucket::BucketIndex;
 pub use database::MachineIngest;
 pub use error::DatasetError;
-pub use query::{MachineFilter, QueryPlan, ShardStats};
-pub use sharded::ShardedPerfDatabase;
-pub use view::{DatabaseView, DbReader};
+pub use query::{MachineFilter, QueryPlan, ZoneMap};
+pub use view::DatabaseView;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, DatasetError>;

@@ -1,4 +1,4 @@
-//! Machine-restriction queries and the shard-pruning planner.
+//! Machine-restriction queries and the block-pruning planner.
 //!
 //! A ranking request rarely wants the whole catalog: it asks for *the
 //! Xeons*, *machines released 2008–2009*, *machines scoring at least 15 on
@@ -6,16 +6,16 @@
 //! a restriction as a conjunction of clauses, and
 //! [`crate::view::DatabaseView::plan_machines`] resolves it to a
 //! [`QueryPlan`]: the matching machine indices in ascending catalog order
-//! plus an account of which storage shards were scanned to find them.
+//! plus an account of which column blocks were scanned to find them.
 //!
-//! The dense backing can only scan every machine. The sharded backing
-//! keeps per-shard [`ShardStats`] — the family set, release-year range,
-//! and per-benchmark score range of each shard, computed once at
-//! construction — and skips every shard whose statistics prove it cannot
-//! contain a match. Pruning is **conservative**: a shard is skipped only
-//! when *no* machine in it can satisfy the filter, so the pruned plan's
-//! machine list is always identical to the full scan's (the planner unit
-//! tests and `tests/query_engine.rs` pin this, on seeded random catalogs).
+//! Every column block of [`crate::database::PerfDatabase`] carries a
+//! [`ZoneMap`] — the family set, release-year range, and per-benchmark
+//! score range of its machines — and the planner skips every block whose
+//! zone map proves it cannot contain a match. Pruning is
+//! **conservative**: a block is skipped only when *no* machine in it can
+//! satisfy the filter, so the pruned plan's machine list is always
+//! identical to the full scan's (the planner unit tests and
+//! `tests/query_engine.rs` pin this, on seeded random catalogs).
 
 use datatrans_linalg::Matrix;
 
@@ -38,7 +38,7 @@ pub struct MachineFilter {
     /// See [`MachineFilter::year_min`].
     pub year_max: Option<u16>,
     /// Keep only machines whose stored score on benchmark row `.0` is at
-    /// least `.1` — the bucket-style aggregate restriction that per-shard
+    /// least `.1` — the bucket-style aggregate restriction that per-block
     /// score ranges can prune.
     pub min_score: Option<(usize, f64)>,
     /// Keep only machines from this explicit index set (order and
@@ -119,7 +119,7 @@ impl MachineFilter {
     }
 
     /// The metadata clauses only (family + years) — the part a
-    /// [`ShardStats`] summary can reason about without touching scores.
+    /// [`ZoneMap`] can reason about without touching scores.
     fn matches_metadata(&self, machine: &Machine) -> bool {
         self.family.is_none_or(|f| machine.family == f)
             && self.year_min.is_none_or(|min| machine.year >= min)
@@ -196,7 +196,7 @@ impl<'a> PreparedFilter<'a> {
     /// Same predicate as [`MachineFilter::matches`]. Clauses run cheapest
     /// first — metadata, then subset membership, then the stored-score
     /// read — so a narrow subset short-circuits the score lookups during
-    /// a shard scan (a pure conjunction: order cannot change the result).
+    /// a block scan (a pure conjunction: order cannot change the result).
     pub(crate) fn matches<D: DatabaseView + ?Sized>(&self, db: &D, m: usize) -> bool {
         self.filter.matches_metadata(&db.machines()[m])
             && self
@@ -222,20 +222,21 @@ impl<'a> PreparedFilter<'a> {
     }
 }
 
-/// Aggregate statistics of one storage shard, computed at construction
-/// and consulted by the planner to skip shards that cannot match.
+/// The zone map of one column block: aggregate statistics of its stored
+/// data, computed when the block is built, widened in place by
+/// [`ZoneMap::absorb_machine`] on ingest, and consulted by the planner to
+/// skip blocks that cannot match.
 ///
-/// The statistics are summaries of *stored* data — they are never updated
-/// incrementally and never feed back into stored values, so planning with
-/// them can only change **which shards are scanned**, never what a scan
-/// returns.
+/// The statistics summarize *stored* data and never feed back into stored
+/// values, so planning with them can only change **which blocks are
+/// scanned**, never what a scan returns.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardStats {
+pub struct ZoneMap {
     /// Distinct processor families present, sorted.
     families: Vec<ProcessorFamily>,
-    /// Earliest release year in the shard.
+    /// Earliest release year in the block.
     year_min: u16,
-    /// Latest release year in the shard.
+    /// Latest release year in the block.
     year_max: u16,
     /// Per-benchmark minimum stored score (row order).
     score_min: Vec<f64>,
@@ -243,17 +244,17 @@ pub struct ShardStats {
     score_max: Vec<f64>,
 }
 
-impl ShardStats {
-    /// Computes the statistics of one shard from its machine metadata
-    /// slice and its `benchmarks × width` score block.
+impl ZoneMap {
+    /// Computes the zone map of one block from its machine metadata slice
+    /// and its `benchmarks × width` score matrix.
     ///
     /// # Panics
     ///
     /// Panics if `machines` is empty or its length differs from the score
-    /// block's column count (a shard owns at least one machine column by
+    /// matrix's column count (a block owns at least one machine column by
     /// construction).
     pub fn compute(machines: &[Machine], scores: &Matrix) -> Self {
-        assert!(!machines.is_empty(), "a shard owns at least one machine");
+        assert!(!machines.is_empty(), "a block owns at least one machine");
         assert_eq!(machines.len(), scores.cols(), "metadata/score width");
         let mut families: Vec<ProcessorFamily> = machines.iter().map(|m| m.family).collect();
         families.sort_unstable();
@@ -267,7 +268,7 @@ impl ShardStats {
             score_min.push(row.iter().copied().fold(f64::INFINITY, f64::min));
             score_max.push(row.iter().copied().fold(f64::NEG_INFINITY, f64::max));
         }
-        ShardStats {
+        ZoneMap {
             families,
             year_min,
             year_max,
@@ -281,8 +282,8 @@ impl ShardStats {
     /// widens each benchmark's score range. `column` is the machine's
     /// score column in benchmark row order.
     ///
-    /// After absorbing every appended machine the statistics are exactly
-    /// [`ShardStats::compute`] of the grown shard — min/max over a union
+    /// After absorbing every appended machine the zone map is exactly
+    /// [`ZoneMap::compute`] of the grown block — min/max over a union
     /// is the min/max of the per-part min/max — so ingest keeps the
     /// pruning planner's conservativeness intact without a recompute.
     ///
@@ -302,17 +303,17 @@ impl ShardStats {
         }
     }
 
-    /// The distinct processor families in the shard, sorted.
+    /// The distinct processor families in the block, sorted.
     pub fn families(&self) -> &[ProcessorFamily] {
         &self.families
     }
 
-    /// `(earliest, latest)` release year in the shard.
+    /// `(earliest, latest)` release year in the block.
     pub fn year_range(&self) -> (u16, u16) {
         (self.year_min, self.year_max)
     }
 
-    /// `(min, max)` stored score of benchmark row `b` across the shard's
+    /// `(min, max)` stored score of benchmark row `b` across the block's
     /// machines.
     ///
     /// # Panics
@@ -322,12 +323,12 @@ impl ShardStats {
         (self.score_min[b], self.score_max[b])
     }
 
-    /// Whether any machine in the shard *could* satisfy the filter's
+    /// Whether any machine in the block *could* satisfy the filter's
     /// family / year / score clauses.
     ///
     /// Conservative by construction: `false` is returned only when the
-    /// shard provably contains no match (family absent, year ranges
-    /// disjoint, or the shard's best score below the threshold), so
+    /// block provably contains no match (family absent, year ranges
+    /// disjoint, or the block's best score below the threshold), so
     /// pruning on this predicate never drops a matching machine. The
     /// subset clause is range-based and handled by the planner, not here.
     pub fn may_match(&self, filter: &MachineFilter) -> bool {
@@ -342,21 +343,23 @@ impl ShardStats {
     }
 }
 
-/// The resolution of a [`MachineFilter`] against one backing: the matching
-/// machine indices plus how much storage the planner had to touch.
+/// The resolution of a [`MachineFilter`] against a catalog: the matching
+/// machine indices plus how many column blocks the planner had to touch.
+/// The `shards_*` names are kept because the wire format prints them
+/// (`shards=<scanned>/<pruned>`); a shard here is a column block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
     /// Matching machine indices, ascending catalog order — identical for
-    /// every backing and plan strategy.
+    /// every block layout.
     pub machines: Vec<usize>,
-    /// Number of shards whose machines were examined.
+    /// Number of blocks whose machines were examined.
     pub shards_scanned: usize,
-    /// Number of shards skipped outright by statistics or subset range.
+    /// Number of blocks skipped outright by zone map or subset range.
     pub shards_pruned: usize,
 }
 
-/// The full-scan planner every backing can fall back to: examine each
-/// machine in catalog order.
+/// The full-scan planner: examine each machine in catalog order (the
+/// reference the pruning planner must reproduce).
 ///
 /// # Panics
 ///
@@ -490,14 +493,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_summarize_block() {
+    fn zone_map_summarizes_block() {
         let db = generate(&DatasetConfig::default()).unwrap();
         let machines = &db.machines()[0..10];
-        let block = db.score_matrix().select(
+        let block = db.gather(
             &(0..db.n_benchmarks()).collect::<Vec<_>>(),
             &(0..10).collect::<Vec<_>>(),
         );
-        let stats = ShardStats::compute(machines, &block);
+        let stats = ZoneMap::compute(machines, &block);
         let mut families: Vec<ProcessorFamily> = machines.iter().map(|m| m.family).collect();
         families.sort_unstable();
         families.dedup();

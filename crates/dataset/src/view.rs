@@ -1,52 +1,30 @@
-//! The backing-agnostic read surface of the performance database.
+//! The read surface of the performance database.
 //!
-//! The paper's database is a single dense 29 × 117 matrix; the serving-
-//! scale system partitions the same `benchmarks × machines` table into
-//! column-range shards ([`crate::sharded::ShardedPerfDatabase`]). Every
-//! consumer in `core`/`experiments` — task gathers, the evaluation
-//! harnesses, selection, analysis — reads the database exclusively through
-//! the [`DatabaseView`] trait defined here, so the dense and sharded
-//! backings are interchangeable and provably (bitwise) equivalent; the
-//! cross-shard equivalence test suite pins that contract.
+//! Every consumer in `core`/`experiments` — task gathers, the evaluation
+//! harnesses, selection, analysis, the serving engine — reads the
+//! database through the object-safe [`DatabaseView`] trait defined here,
+//! so a server can hold the catalog as `Arc<dyn DatabaseView>`.
 //!
 //! # Contract
 //!
-//! All implementations view the *same logical table*: `score(b, m)` is the
-//! SPEC-style ratio of benchmark `b` on machine `m`, machine metadata is
-//! ordered identically, and [`DatabaseView::gather`] copies the requested
-//! submatrix in request order. A sharded backing must return exactly the
-//! same `f64` bits as the dense backing it was built from — values are
-//! stored, never recomputed, so partitioning can never perturb a
-//! prediction.
+//! `score(b, m)` is the SPEC-style ratio of benchmark `b` on machine `m`,
+//! machine metadata is in column order, and [`DatabaseView::gather`]
+//! copies the requested submatrix in request order. Every column-block
+//! layout of [`crate::database::PerfDatabase`] returns exactly the same
+//! `f64` bits — values are stored, never recomputed, so re-blocking can
+//! never perturb a prediction.
 
 use datatrans_linalg::{Matrix, VecView};
 
 use crate::benchmark::Benchmark;
-use crate::database::PerfDatabase;
 use crate::machine::{Machine, ProcessorFamily};
-use crate::query::{scan_machines, MachineFilter, QueryPlan};
-use crate::sharded::ShardReader;
+use crate::query::{MachineFilter, QueryPlan};
 use crate::{DatasetError, Result};
 
-/// One contiguous run of a benchmark's row, as stored by one shard.
+/// Read access to a `benchmarks × machines` performance database.
 ///
-/// A dense backing yields a single segment covering every machine; a
-/// sharded backing yields one segment per shard, in machine order. Segment
-/// `scores[i]` is the score of machine `start + i`.
-#[derive(Debug, Clone, Copy)]
-pub struct RowSegment<'a> {
-    /// Global index of the first machine covered by this segment.
-    pub start: usize,
-    /// Scores of machines `start .. start + scores.len()`, borrowed from
-    /// the backing storage.
-    pub scores: &'a [f64],
-}
-
-/// Read access to a `benchmarks × machines` performance database,
-/// independent of the backing layout (dense or column-range sharded).
-///
-/// The trait is object-safe: harness internals hand `&dyn DatabaseView`
-/// (usually a per-worker [`DbReader`]) down to task construction.
+/// The trait is object-safe: the network front end serves from an
+/// `Arc<dyn DatabaseView + Send + Sync>`.
 pub trait DatabaseView: Sync {
     /// Number of benchmarks (logical rows).
     fn n_benchmarks(&self) -> usize;
@@ -75,14 +53,6 @@ pub trait DatabaseView: Sync {
     /// Panics if `m` is out of bounds.
     fn machine_column(&self, m: usize) -> VecView<'_>;
 
-    /// The contiguous storage segments of benchmark row `b`, in machine
-    /// order (dense: one segment; sharded: one per shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is out of bounds.
-    fn benchmark_row_segments(&self, b: usize) -> Vec<RowSegment<'_>>;
-
     /// Copies the `benchmarks × machines` submatrix selected by arbitrary
     /// index subsets, in request order — the gather behind
     /// task construction.
@@ -92,66 +62,24 @@ pub trait DatabaseView: Sync {
     /// Panics if any index is out of bounds.
     fn gather(&self, benchmarks: &[usize], machines: &[usize]) -> Matrix;
 
-    /// Number of storage shards backing this view (dense: 1).
-    fn n_shards(&self) -> usize {
-        1
-    }
-
-    /// The backing catalog's version counter: 0 for a freshly built
-    /// catalog, incremented by every non-empty machine ingest. The serving
-    /// layer keys its result cache on `(request fingerprint, version)`, so
-    /// a moved version drops every stale entry. Default: 0 (an immutable
-    /// view never changes).
-    fn catalog_version(&self) -> u64 {
-        0
-    }
+    /// The catalog's version counter: 0 for a freshly built catalog,
+    /// incremented by every non-empty machine ingest. The serving layer
+    /// keys its result cache on `(request fingerprint, version)`, so a
+    /// moved version drops every stale entry.
+    fn catalog_version(&self) -> u64;
 
     /// Resolves a machine restriction to a [`QueryPlan`]: the matching
-    /// machine indices in ascending catalog order, plus how many shards
-    /// the planner scanned versus pruned.
-    ///
-    /// The default implementation scans every machine (one logical shard).
-    /// The sharded backing overrides it with a statistics-pruned plan that
-    /// skips shards which provably cannot match — the **machine list is
-    /// identical either way**; only the amount of storage touched differs.
+    /// machine indices in ascending catalog order, plus how many column
+    /// blocks the planner scanned versus pruned. The machine list is the
+    /// full scan's ([`crate::query::scan_machines`]) on every block
+    /// layout; only the amount of storage touched differs.
     ///
     /// # Panics
     ///
     /// Panics if the filter references an out-of-range benchmark or
     /// machine index (validate with [`MachineFilter::invalid_index`]
     /// first where the filter is untrusted input).
-    fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {
-        QueryPlan {
-            machines: scan_machines(self, filter),
-            shards_scanned: 1,
-            shards_pruned: 0,
-        }
-    }
-
-    /// A cheap per-worker read handle.
-    ///
-    /// Dense backings return a stateless pass-through; the sharded backing
-    /// returns a handle that caches the shard serving the most recent
-    /// lookup, so a worker sweeping one shard's machine range locates it
-    /// once. The handle reads the same storage, so results are bitwise
-    /// identical — it only changes *how fast* a lookup finds its shard,
-    /// which is exactly the per-worker-scratch contract of
-    /// `Parallelism::par_map_with`.
-    fn reader(&self) -> DbReader<'_>;
-
-    /// Benchmark row `b` as one owned contiguous vector (concatenated
-    /// segments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is out of bounds.
-    fn benchmark_row_vec(&self, b: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_machines());
-        for segment in self.benchmark_row_segments(b) {
-            out.extend_from_slice(segment.scores);
-        }
-        out
-    }
+    fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan;
 
     /// Looks up a benchmark index by name.
     ///
@@ -196,106 +124,5 @@ pub trait DatabaseView: Sync {
             .filter(|(_, m)| m.year < year)
             .map(|(i, _)| i)
             .collect()
-    }
-}
-
-/// A per-worker read handle over either backing.
-///
-/// Obtained from [`DatabaseView::reader`]; implements [`DatabaseView`]
-/// itself, so harness workers can hand it to task construction unchanged.
-/// The dense variant is a stateless pass-through; the sharded variant
-/// caches the last shard touched (see
-/// [`crate::sharded::ShardReader`]).
-#[derive(Debug)]
-pub enum DbReader<'a> {
-    /// Pass-through over the dense backing.
-    Dense(&'a PerfDatabase),
-    /// Shard-cursor handle over the sharded backing.
-    Sharded(ShardReader<'a>),
-}
-
-impl DatabaseView for DbReader<'_> {
-    fn n_benchmarks(&self) -> usize {
-        match self {
-            DbReader::Dense(db) => DatabaseView::n_benchmarks(*db),
-            DbReader::Sharded(r) => r.n_benchmarks(),
-        }
-    }
-
-    fn n_machines(&self) -> usize {
-        match self {
-            DbReader::Dense(db) => DatabaseView::n_machines(*db),
-            DbReader::Sharded(r) => r.n_machines(),
-        }
-    }
-
-    fn benchmarks(&self) -> &[Benchmark] {
-        match self {
-            DbReader::Dense(db) => DatabaseView::benchmarks(*db),
-            DbReader::Sharded(r) => r.benchmarks(),
-        }
-    }
-
-    fn machines(&self) -> &[Machine] {
-        match self {
-            DbReader::Dense(db) => DatabaseView::machines(*db),
-            DbReader::Sharded(r) => r.machines(),
-        }
-    }
-
-    fn score(&self, b: usize, m: usize) -> f64 {
-        match self {
-            DbReader::Dense(db) => DatabaseView::score(*db, b, m),
-            DbReader::Sharded(r) => r.score(b, m),
-        }
-    }
-
-    fn machine_column(&self, m: usize) -> VecView<'_> {
-        match self {
-            DbReader::Dense(db) => DatabaseView::machine_column(*db, m),
-            DbReader::Sharded(r) => r.machine_column(m),
-        }
-    }
-
-    fn benchmark_row_segments(&self, b: usize) -> Vec<RowSegment<'_>> {
-        match self {
-            DbReader::Dense(db) => DatabaseView::benchmark_row_segments(*db, b),
-            DbReader::Sharded(r) => r.benchmark_row_segments(b),
-        }
-    }
-
-    fn gather(&self, benchmarks: &[usize], machines: &[usize]) -> Matrix {
-        match self {
-            DbReader::Dense(db) => DatabaseView::gather(*db, benchmarks, machines),
-            DbReader::Sharded(r) => r.gather(benchmarks, machines),
-        }
-    }
-
-    fn n_shards(&self) -> usize {
-        match self {
-            DbReader::Dense(_) => 1,
-            DbReader::Sharded(r) => r.n_shards(),
-        }
-    }
-
-    fn catalog_version(&self) -> u64 {
-        match self {
-            DbReader::Dense(db) => DatabaseView::catalog_version(*db),
-            DbReader::Sharded(r) => r.catalog_version(),
-        }
-    }
-
-    fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {
-        match self {
-            DbReader::Dense(db) => DatabaseView::plan_machines(*db, filter),
-            DbReader::Sharded(r) => r.plan_machines(filter),
-        }
-    }
-
-    fn reader(&self) -> DbReader<'_> {
-        match self {
-            DbReader::Dense(db) => DbReader::Dense(db),
-            DbReader::Sharded(r) => r.reader(),
-        }
     }
 }

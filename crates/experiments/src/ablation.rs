@@ -138,8 +138,7 @@ fn variants(config: &ExperimentConfig) -> Vec<Variant> {
 ///
 /// Propagates harness and model failures.
 pub fn run(config: &ExperimentConfig) -> Result<AblationResult> {
-    let backing = config.build_backing()?;
-    let db = backing.view();
+    let db = &config.build_database()?;
     let apps = config
         .app_indices(db)
         .unwrap_or_else(|| (0..db.n_benchmarks()).collect());

@@ -21,11 +21,12 @@
 //! * **speedup** — exact wall-clock over approximate wall-clock for the
 //!   whole batch (the one non-deterministic column).
 //!
-//! Every approximate batch is also served on an 8-shard
-//! [`ShardedPerfDatabase`], hard-failing unless the two backings agree
-//! bitwise — the approximate path inherits the exact path's determinism
-//! contract. The `probe = n_buckets` rung probes every bucket, so its
-//! recall and ρ are exactly 1 by construction.
+//! Every approximate batch is also served on every multi-block layout of
+//! [`datatrans_dataset::database::PerfDatabase::layout_sweep`],
+//! hard-failing unless each agrees bitwise with the single-block catalog —
+//! the approximate path inherits the exact path's determinism contract.
+//! The `probe = n_buckets` rung probes every bucket, so its recall and ρ
+//! are exactly 1 by construction.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -37,7 +38,6 @@ use datatrans_core::serve::{
 use datatrans_core::CoreError;
 use datatrans_dataset::generator::{generate_scaled, ScaleConfig};
 use datatrans_dataset::query::MachineFilter;
-use datatrans_dataset::sharded::ShardedPerfDatabase;
 use datatrans_dataset::view::DatabaseView;
 use datatrans_stats::correlation::spearman;
 
@@ -56,9 +56,6 @@ pub const PROBE_LADDER: [usize; 4] = [2, 4, 8, N_BUCKETS];
 
 /// Ranking depth for the recall metric.
 pub const RECALL_TOP_K: usize = 10;
-
-/// Shard count for the sharded leg of the backing-equivalence check.
-const CHECK_SHARDS: usize = 8;
 
 /// Machines in the sweep catalog at `trial_scale = 1.0`. Approximation
 /// is a scale feature — on the paper's 117-machine catalog the
@@ -96,8 +93,8 @@ pub struct ApproxResult {
     pub top_k: usize,
     /// Applications averaged per point.
     pub apps: usize,
-    /// Shard count of the sharded equivalence leg.
-    pub shards: usize,
+    /// Block counts of the layouts verified bitwise against each other.
+    pub layouts: Vec<usize>,
 }
 
 /// One unrestricted full-ranking NNᵀ request per application (NNᵀ is the
@@ -137,10 +134,10 @@ fn ok_batch(
         .map_err(|e| CoreError::invalid_task(format!("approx sweep request failed: {e}")))
 }
 
-/// Hard-fails unless the dense and sharded approximate rankings (and
-/// annexes) agree bitwise.
-fn check_backing_equivalence(dense: &[RankResponse], sharded: &[RankResponse]) -> Result<()> {
-    for (i, (a, b)) in dense.iter().zip(sharded).enumerate() {
+/// Hard-fails unless the approximate rankings (and annexes) served on a
+/// multi-block layout agree bitwise with the single-block ones.
+fn check_layout_equivalence(single: &[RankResponse], blocked: &[RankResponse]) -> Result<()> {
+    for (i, (a, b)) in single.iter().zip(blocked).enumerate() {
         let same = a.approx == b.approx
             && a.ranked.len() == b.ranked.len()
             && a.ranked.iter().zip(&b.ranked).all(|(x, y)| {
@@ -148,7 +145,7 @@ fn check_backing_equivalence(dense: &[RankResponse], sharded: &[RankResponse]) -
             });
         if !same {
             return Err(CoreError::invalid_task(format!(
-                "request {i}: dense and sharded approximate rankings diverged"
+                "request {i}: approximate rankings diverged across block layouts"
             )));
         }
     }
@@ -198,13 +195,13 @@ fn ranking_agreement(exact: &RankResponse, approximate: &RankResponse) -> Result
 }
 
 /// Runs the sweep: serve the exact reference batch, then the same batch
-/// at every `(n_components, probe_buckets)` point on both backings, and
+/// at every `(n_components, probe_buckets)` point on every block layout, and
 /// aggregate the quality/speed frontier.
 ///
 /// # Errors
 ///
-/// Propagates dataset and serving failures, and fails hard if the dense
-/// and sharded backings disagree at any sweep point.
+/// Propagates dataset and serving failures, and fails hard if any block
+/// layout disagrees with the single-block catalog at any sweep point.
 pub fn run(config: &ExperimentConfig) -> Result<ApproxResult> {
     let db = generate_scaled(&ScaleConfig {
         seed: config.dataset.seed,
@@ -216,7 +213,7 @@ pub fn run(config: &ExperimentConfig) -> Result<ApproxResult> {
         .unwrap_or_else(|| (0..db.n_benchmarks()).collect());
     let exact_requests = ranking_requests(&db, &apps, config.seed);
     let serve_config = config.serve_config();
-    let sharded = ShardedPerfDatabase::from_dense(&db, CHECK_SHARDS)?;
+    let layouts = db.layout_sweep()?;
 
     let exact_started = Instant::now();
     let exact = ok_batch(serve_batch(&db, &exact_requests, &serve_config))?;
@@ -240,8 +237,11 @@ pub fn run(config: &ExperimentConfig) -> Result<ApproxResult> {
             let started = Instant::now();
             let on_dense = ok_batch(serve_batch(&db, &requests, &serve_config))?;
             let approx_secs = started.elapsed().as_secs_f64();
-            let on_sharded = ok_batch(serve_batch(&sharded, &requests, &serve_config))?;
-            check_backing_equivalence(&on_dense, &on_sharded)?;
+            // The one-block layout is `db` itself, served just above.
+            for layout in layouts.iter().filter(|layout| layout.blocks().len() > 1) {
+                let on_layout = ok_batch(serve_batch(layout, &requests, &serve_config))?;
+                check_layout_equivalence(&on_dense, &on_layout)?;
+            }
 
             let mut recall = 0.0;
             let mut rho = 0.0;
@@ -270,7 +270,7 @@ pub fn run(config: &ExperimentConfig) -> Result<ApproxResult> {
         n_buckets: N_BUCKETS,
         top_k: RECALL_TOP_K,
         apps: apps.len(),
-        shards: CHECK_SHARDS,
+        layouts: layouts.iter().map(|l| l.blocks().len()).collect(),
     })
 }
 
@@ -307,9 +307,9 @@ impl fmt::Display for ApproxResult {
             Some(p) => writeln!(
                 f,
                 "best point with recall >= 0.95: components={} probe={} \
-                 (recall {:.3}, {:.2}x vs exact); dense == {}-shard backing \
+                 (recall {:.3}, {:.2}x vs exact); {:?}-block layouts \
                  verified bitwise at every point",
-                p.n_components, p.probe_buckets, p.recall, p.speedup, self.shards
+                p.n_components, p.probe_buckets, p.recall, p.speedup, self.layouts
             ),
             None => writeln!(f, "no sweep point reached recall >= 0.95"),
         }
@@ -353,7 +353,6 @@ mod tests {
         assert!(text.contains("speedup"));
     }
 
-    #[cfg(feature = "approx")]
     #[test]
     fn tight_probe_budgets_actually_prune() {
         let result = run(&quick_approx_config()).unwrap();

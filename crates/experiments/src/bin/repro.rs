@@ -18,20 +18,20 @@ fn usage() -> &'static str {
      \n\
      --quick     reduced budgets (fewer apps/trials/epochs) for a fast pass\n\
      --seed N    dataset + experiment seed (default: paper-run seed)\n\
-     --shards N  run on the machine-range-sharded database backing\n\
-                 (results are bitwise-identical to the dense default)\n\
+     --shards N  store the catalog as N column blocks that the planner\n\
+                 can prune (results are bitwise-identical to one block)\n\
      --ingest    serve only: interleave a streaming machine ingest (cold\n\
                  batch, warm all-hit batch, push machines, post-ingest\n\
                  batch) and report cache hit/miss/invalidation counts\n\
      \n\
      serve       drive the batched ranking-query engine under a synthetic\n\
-                 request mix (combine with --shards N to see shard pruning)\n\
+                 request mix (combine with --shards N to see block pruning)\n\
      net-serve   drive the same request mix through the TCP front end over\n\
                  loopback: verifies every wire response byte-identical to\n\
                  in-process serving and reports end-to-end p50/p99 latency\n\
      robustness  sweep measurement noise over the catalog and report each\n\
-                 model's rank-correlation-vs-noise curve (dense and\n\
-                 sharded backings verified bitwise-identical)\n\
+                 model's rank-correlation-vs-noise curve (every block\n\
+                 layout verified bitwise-identical)\n\
      approx      sweep the PCA-bucketed approximate serving frontier:\n\
                  recall@top-k, Spearman rho vs exact, and speedup per\n\
                  (n_components, probe_buckets) operating point\n"
@@ -115,8 +115,7 @@ fn diagnose(config: &ExperimentConfig) -> Result<(), datatrans_core::CoreError> 
     use datatrans_core::eval::family_cv::{family_cross_validation, FamilyCvConfig};
     use datatrans_dataset::machine::ProcessorFamily;
 
-    let backing = config.build_backing()?;
-    let db = backing.view();
+    let db = &config.build_database()?;
     let apps: Vec<usize> = [
         "libquantum",
         "cactusADM",

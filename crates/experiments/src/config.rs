@@ -1,9 +1,8 @@
 //! Shared experiment configuration.
 
 use datatrans_core::model::{GaKnn, GaKnnConfig, MlpT, NnT, Predictor};
-use datatrans_dataset::database::{MachineIngest, PerfDatabase};
+use datatrans_dataset::database::PerfDatabase;
 use datatrans_dataset::generator::{generate, DatasetConfig};
-use datatrans_dataset::sharded::ShardedPerfDatabase;
 use datatrans_dataset::view::DatabaseView;
 use datatrans_ml::ga::GaConfig;
 use datatrans_ml::mlp::MlpConfig;
@@ -36,18 +35,13 @@ pub struct ExperimentConfig {
     /// core). Every table and figure is bitwise-identical at any thread
     /// count.
     pub parallelism: Parallelism,
-    /// Database backing: `None` runs on the dense [`PerfDatabase`];
-    /// `Some(n)` partitions it into `n` column-range shards
-    /// ([`ShardedPerfDatabase`]). Every table and figure is
-    /// bitwise-identical across backings — the shard-equivalence suite
-    /// pins the contract.
+    /// Column blocks of the generated catalog: `None` keeps the single
+    /// block the generator builds; `Some(n)` re-blocks it into `n`
+    /// balanced blocks ([`PerfDatabase::reblock`]), so the planner can
+    /// prune blocks. Every table and figure is bitwise-identical across
+    /// block layouts — the block-layout equivalence suite pins the
+    /// contract.
     pub db_shards: Option<usize>,
-    /// Fan the sharded backing's gather row copies across the worker pool
-    /// (`ShardedPerfDatabase::with_parallelism`). Off by default: the
-    /// harness grids already own the cores, so this pays off only for
-    /// standalone wide gathers (e.g. single large serving requests).
-    /// Results are bitwise-identical either way.
-    pub gather_parallel: bool,
     /// Nominal request count for the `repro serve` driver's synthetic
     /// batch (scaled by `trial_scale` like other stochastic-repeat
     /// counts).
@@ -85,7 +79,6 @@ impl Default for ExperimentConfig {
             ga_generations: 40,
             parallelism: Parallelism::default(),
             db_shards: None,
-            gather_parallel: false,
             serve_requests: 48,
             serve_top_k: 5,
             serve_ingest: false,
@@ -94,51 +87,6 @@ impl Default for ExperimentConfig {
             net_max_batch: 32,
             net_max_inflight: 64,
         }
-    }
-}
-
-/// The database backing an experiment run, chosen by
-/// [`ExperimentConfig::db_shards`].
-#[derive(Debug, Clone)]
-pub enum DbBacking {
-    /// The dense score matrix.
-    Dense(PerfDatabase),
-    /// The machine-range-sharded equivalent.
-    Sharded(ShardedPerfDatabase),
-}
-
-impl DbBacking {
-    /// The backing as a [`DatabaseView`] trait object, ready for the
-    /// generic harnesses.
-    pub fn view(&self) -> &dyn DatabaseView {
-        match self {
-            DbBacking::Dense(db) => db,
-            DbBacking::Sharded(db) => db,
-        }
-    }
-
-    /// Number of storage shards (dense: 1).
-    pub fn n_shards(&self) -> usize {
-        match self {
-            DbBacking::Dense(_) => 1,
-            DbBacking::Sharded(db) => db.n_shards(),
-        }
-    }
-
-    /// Appends machines to whichever backing this is, bumping its catalog
-    /// version (see [`PerfDatabase::push_machines`] and
-    /// [`ShardedPerfDatabase::push_machines`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates ingest validation failures; the backing is unchanged on
-    /// error.
-    pub fn push_machines(&mut self, batch: &[MachineIngest]) -> Result<()> {
-        match self {
-            DbBacking::Dense(db) => db.push_machines(batch)?,
-            DbBacking::Sharded(db) => db.push_machines(batch)?,
-        }
-        Ok(())
     }
 }
 
@@ -193,33 +141,18 @@ impl ExperimentConfig {
         m
     }
 
-    /// Generates the dense dataset for this configuration.
+    /// Generates the dataset for this configuration, in the block layout
+    /// [`ExperimentConfig::db_shards`] selects.
     ///
     /// # Errors
     ///
-    /// Propagates dataset-generation failures.
+    /// Propagates dataset-generation failures and invalid block counts.
     pub fn build_database(&self) -> Result<PerfDatabase> {
-        Ok(generate(&self.dataset)?)
-    }
-
-    /// Generates the dataset on the backing selected by
-    /// [`ExperimentConfig::db_shards`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates dataset-generation failures and invalid shard counts.
-    pub fn build_backing(&self) -> Result<DbBacking> {
-        let dense = self.build_database()?;
-        match self.db_shards {
-            None => Ok(DbBacking::Dense(dense)),
-            Some(n) => {
-                let mut sharded = ShardedPerfDatabase::from_dense(&dense, n)?;
-                if self.gather_parallel {
-                    sharded = sharded.with_parallelism(self.parallelism);
-                }
-                Ok(DbBacking::Sharded(sharded))
-            }
-        }
+        let db = generate(&self.dataset)?;
+        Ok(match self.db_shards {
+            None => db,
+            Some(n) => db.reblock(n)?,
+        })
     }
 
     /// The serving engine's configuration at this experiment's budgets:
@@ -279,31 +212,29 @@ mod tests {
     }
 
     #[test]
-    fn backing_selection_follows_db_shards() {
-        let dense = ExperimentConfig::default().build_backing().unwrap();
-        assert!(matches!(dense, DbBacking::Dense(_)));
-        assert_eq!(dense.n_shards(), 1);
-        let sharded = ExperimentConfig {
+    fn block_count_follows_db_shards() {
+        let single = ExperimentConfig::default().build_database().unwrap();
+        assert_eq!(single.blocks().len(), 1);
+        let blocked = ExperimentConfig {
             db_shards: Some(5),
             ..ExperimentConfig::default()
         }
-        .build_backing()
+        .build_database()
         .unwrap();
-        assert!(matches!(sharded, DbBacking::Sharded(_)));
-        assert_eq!(sharded.n_shards(), 5);
-        assert_eq!(sharded.view().n_machines(), 117);
+        assert_eq!(blocked.blocks().len(), 5);
+        assert_eq!(blocked.n_machines(), 117);
         assert!(ExperimentConfig {
             db_shards: Some(0),
             ..ExperimentConfig::default()
         }
-        .build_backing()
+        .build_database()
         .is_err());
     }
 
     #[test]
-    fn table2_identical_on_dense_and_sharded_backing() {
+    fn table2_identical_on_one_and_many_blocks() {
         // The cheapest end-to-end driver check: a quick Table 2 run must be
-        // cell-for-cell identical on both backings.
+        // cell-for-cell identical on both block layouts.
         let quick = ExperimentConfig {
             max_apps: Some(1),
             mlp_epochs: 10,
@@ -312,13 +243,13 @@ mod tests {
             parallelism: Parallelism::Sequential,
             ..ExperimentConfig::quick()
         };
-        let dense = crate::table2::run(&quick).unwrap();
-        let sharded = crate::table2::run(&ExperimentConfig {
+        let single = crate::table2::run(&quick).unwrap();
+        let blocked = crate::table2::run(&ExperimentConfig {
             db_shards: Some(7),
             ..quick.clone()
         })
         .unwrap();
-        assert_eq!(dense.report.cells, sharded.report.cells);
+        assert_eq!(single.report.cells, blocked.report.cells);
     }
 
     #[test]

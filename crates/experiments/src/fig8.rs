@@ -24,8 +24,7 @@ pub struct Fig8Result {
 ///
 /// Propagates harness and model failures.
 pub fn run(config: &ExperimentConfig) -> Result<Fig8Result> {
-    let backing = config.build_backing()?;
-    let db = backing.view();
+    let db = &config.build_database()?;
     let fit_config = FitCurveConfig {
         seed: config.seed,
         ks: (1..=10).collect(),

@@ -12,14 +12,14 @@
 //!
 //! Beyond the paper, [`ablation`] sweeps the design choices DESIGN.md
 //! calls out (MLP width/epochs/domain, NNᵀ selection criterion, GA-kNN k),
-//! [`serve`] drives the concurrent ranking-query engine (shard-pruned
+//! [`serve`] drives the concurrent ranking-query engine (block-pruned
 //! planning + batched prediction) under a synthetic request mix,
 //! [`net_serve`] drives the same mix through the TCP front end over
 //! loopback (verifying wire responses byte-identical to in-process
 //! serving and reporting p50/p99 latency), and [`robustness`] sweeps
 //! measurement noise over the catalog to produce perturbation-robustness
 //! curves (rank correlation of each model's served ranking vs noise
-//! level, dense and sharded), and [`approx`] sweeps the PCA-bucketed
+//! level, on every block layout), and [`approx`] sweeps the PCA-bucketed
 //! approximate serving frontier (recall@top-k, Spearman ρ vs exact, and
 //! speedup per `(n_components, probe_buckets)` operating point).
 //!

@@ -26,7 +26,6 @@ use datatrans_dataset::view::DatabaseView;
 use datatrans_serve_net::protocol::{render_result, write_request};
 use datatrans_serve_net::server::{NetServer, NetServerConfig, ServerStats};
 
-use crate::config::DbBacking;
 use crate::serve::synth_requests;
 use crate::{ExperimentConfig, Result};
 
@@ -75,26 +74,23 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 ///
 /// # Errors
 ///
-/// Propagates backing construction and socket failures, and fails hard if
+/// Propagates catalog construction and socket failures, and fails hard if
 /// any wire response differs from its in-process counterpart.
 pub fn run(config: &ExperimentConfig) -> Result<NetServeResult> {
-    let backing = config.build_backing()?;
+    let db = config.build_database()?;
     let n = config.scaled_trials(config.serve_requests);
-    let (requests, _labels) = synth_requests(backing.view(), n, config.serve_top_k, config.seed);
+    let (requests, _labels) = synth_requests(&db, n, config.serve_top_k, config.seed);
     let serve_config = config.serve_config();
 
     // The ground truth: in-process serving, rendered exactly as the
     // server renders it on the wire.
-    let expected: Vec<String> = serve_batch(backing.view(), &requests, &serve_config)
+    let expected: Vec<String> = serve_batch(&db, &requests, &serve_config)
         .iter()
         .map(render_result)
         .collect();
     let lines: Vec<String> = requests.iter().map(write_request).collect();
 
-    let db: Arc<dyn DatabaseView + Send + Sync> = match backing {
-        DbBacking::Dense(db) => Arc::new(db),
-        DbBacking::Sharded(db) => Arc::new(db),
-    };
+    let db: Arc<dyn DatabaseView + Send + Sync> = Arc::new(db);
     let server = NetServer::spawn(db, "127.0.0.1:0", net_server_config(config))
         .map_err(|e| CoreError::invalid_task(format!("net-serve bind failed: {e}")))?;
     let addr = server.local_addr();
@@ -216,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn loopback_driver_runs_on_the_sharded_backing() {
+    fn loopback_driver_runs_on_a_blocked_catalog() {
         let config = ExperimentConfig {
             db_shards: Some(8),
             ..quick_net_config()

@@ -4,11 +4,12 @@
 //! The driver serves one unrestricted full-ranking request per
 //! (model, application) pair against the clean catalog, then re-serves
 //! the identical batch against noise-perturbed copies of the catalog at
-//! each rung of [`NOISE_LADDER`] — on the dense backing **and** on an
-//! 8-shard [`ShardedPerfDatabase`], hard-failing if the two backings ever
-//! disagree bitwise. The reported curve is the mean Spearman rank
-//! correlation between each model's clean and noisy rankings, averaged
-//! over applications: a flat curve near 1.0 means the model's ranking
+//! each rung of [`NOISE_LADDER`] — on the single-block catalog **and** on
+//! every multi-block layout of
+//! [`datatrans_dataset::database::PerfDatabase::layout_sweep`],
+//! hard-failing if any layout ever disagrees bitwise. The reported curve
+//! is the mean Spearman rank correlation between each model's clean and
+//! noisy rankings, averaged over applications: a flat curve near 1.0 means the model's ranking
 //! survives measurement noise; a steep drop means small perturbations
 //! reshuffle its recommendations.
 //!
@@ -28,7 +29,6 @@ use datatrans_core::serve::{
 use datatrans_core::CoreError;
 use datatrans_dataset::generator::{perturb_database, NoiseConfig};
 use datatrans_dataset::query::MachineFilter;
-use datatrans_dataset::sharded::ShardedPerfDatabase;
 use datatrans_dataset::view::DatabaseView;
 use datatrans_stats::correlation::spearman;
 
@@ -45,9 +45,6 @@ pub const NOISE_LADDER: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
 /// seed.
 const PERTURB_SEED: u64 = 0x0DB0_5EED_0B57_0001;
 
-/// Shard count for the sharded leg of the backing-equivalence check.
-const CHECK_SHARDS: usize = 8;
-
 /// The robustness driver's outcome: one rank-correlation curve per model.
 #[derive(Debug, Clone)]
 pub struct RobustnessResult {
@@ -61,8 +58,8 @@ pub struct RobustnessResult {
     pub rho: Vec<Vec<f64>>,
     /// Number of applications averaged per curve point.
     pub apps: usize,
-    /// Shard count of the sharded equivalence leg.
-    pub shards: usize,
+    /// Block counts of the layouts verified bitwise against each other.
+    pub layouts: Vec<usize>,
 }
 
 /// One unrestricted full-ranking request per (application, model) pair;
@@ -106,16 +103,17 @@ fn ok_batch(
         .map_err(|e| CoreError::invalid_task(format!("robustness request failed: {e}")))
 }
 
-/// Hard-fails unless the dense and sharded rankings agree bitwise.
-fn check_backing_equivalence(dense: &[RankResponse], sharded: &[RankResponse]) -> Result<()> {
-    for (i, (a, b)) in dense.iter().zip(sharded).enumerate() {
+/// Hard-fails unless the rankings served on a multi-block layout agree
+/// bitwise with the single-block ones.
+fn check_layout_equivalence(single: &[RankResponse], blocked: &[RankResponse]) -> Result<()> {
+    for (i, (a, b)) in single.iter().zip(blocked).enumerate() {
         let same = a.ranked.len() == b.ranked.len()
             && a.ranked.iter().zip(&b.ranked).all(|(x, y)| {
                 x.machine == y.machine && x.predicted_score.to_bits() == y.predicted_score.to_bits()
             });
         if !same {
             return Err(CoreError::invalid_task(format!(
-                "request {i}: dense and sharded rankings diverged under noise"
+                "request {i}: rankings diverged across block layouts under noise"
             )));
         }
     }
@@ -146,13 +144,13 @@ fn ranking_agreement(clean: &RankResponse, noisy: &RankResponse) -> Result<f64> 
 }
 
 /// Runs the robustness sweep: serve the clean reference batch, then the
-/// same batch against each perturbed catalog on both backings, and
+/// same batch against each perturbed catalog on every block layout, and
 /// aggregate per-model rank-correlation curves.
 ///
 /// # Errors
 ///
 /// Propagates dataset, perturbation, and serving failures, and fails
-/// hard if the dense and sharded backings disagree at any noise level.
+/// hard if any block layout disagrees at any noise level.
 pub fn run(config: &ExperimentConfig) -> Result<RobustnessResult> {
     let clean = config.build_database()?;
     let apps: Vec<usize> = config
@@ -164,6 +162,7 @@ pub fn run(config: &ExperimentConfig) -> Result<RobustnessResult> {
 
     let n_models = ModelKind::ALL.len();
     let mut rho = vec![vec![0.0; NOISE_LADDER.len()]; n_models];
+    let mut layouts = Vec::new();
     for (si, &sigma) in NOISE_LADDER.iter().enumerate() {
         let noise = NoiseConfig {
             seed: config.seed ^ PERTURB_SEED,
@@ -171,10 +170,14 @@ pub fn run(config: &ExperimentConfig) -> Result<RobustnessResult> {
             repeats: 1,
         };
         let perturbed = perturb_database(&clean, &noise)?;
-        let sharded = ShardedPerfDatabase::from_dense(&perturbed, CHECK_SHARDS)?;
         let on_dense = ok_batch(serve_batch(&perturbed, &requests, &serve_config))?;
-        let on_sharded = ok_batch(serve_batch(&sharded, &requests, &serve_config))?;
-        check_backing_equivalence(&on_dense, &on_sharded)?;
+        // The one-block layout is `perturbed` itself, served just above.
+        let sweep = perturbed.layout_sweep()?;
+        for layout in sweep.iter().filter(|layout| layout.blocks().len() > 1) {
+            let on_layout = ok_batch(serve_batch(layout, &requests, &serve_config))?;
+            check_layout_equivalence(&on_dense, &on_layout)?;
+        }
+        layouts = sweep.iter().map(|layout| layout.blocks().len()).collect();
 
         let mut sums = vec![0.0; n_models];
         for (i, (clean_resp, noisy_resp)) in reference.iter().zip(&on_dense).enumerate() {
@@ -190,7 +193,7 @@ pub fn run(config: &ExperimentConfig) -> Result<RobustnessResult> {
         methods: ModelKind::ALL.iter().map(|m| m.name()).collect(),
         rho,
         apps: apps.len(),
-        shards: CHECK_SHARDS,
+        layouts,
     })
 }
 
@@ -221,8 +224,8 @@ impl fmt::Display for RobustnessResult {
         writeln!(
             f,
             "mean Spearman rho between clean and noisy served rankings, \
-             {} apps, dense == {}-shard backing verified bitwise at every level",
-            self.apps, self.shards
+             {} apps, {:?}-block layouts verified bitwise at every level",
+            self.apps, self.layouts
         )
     }
 }

@@ -10,8 +10,8 @@
 //! ingest: cold batch → warm batch (all hits) → push a synthetic machine
 //! batch (bumping the catalog version) → post-ingest batch (every entry
 //! invalidated, all misses again). Responses are bitwise-identical across
-//! backings, thread counts, and batch permutations — only the throughput
-//! line varies run to run.
+//! block layouts, thread counts, and batch permutations — only the
+//! throughput line varies run to run.
 
 use std::fmt;
 use std::time::Instant;
@@ -42,9 +42,9 @@ pub struct ServeResult {
     /// A short human-readable label of each request, aligned with
     /// `responses`.
     pub labels: Vec<String>,
-    /// Number of storage shards in the backing (ingest mode: after the
-    /// ingest, which may have split the tail shard).
-    pub n_shards: usize,
+    /// Number of column blocks in the catalog (an ingest widens the tail
+    /// block, so the count never changes).
+    pub n_blocks: usize,
     /// Result-cache hits across all served phases.
     pub cache_hits: u64,
     /// Result-cache misses across all served phases.
@@ -117,8 +117,7 @@ pub fn synth_requests<D: DatabaseView + ?Sized>(
             AppOfInterest::External(synthesize(profile, seed.wrapping_add(i as u64)))
         };
         // Every fifth request opts into the approximate fast path, so the
-        // mix exercises exact and approx serving side by side (with the
-        // `approx` feature compiled out these serve exactly, annex-free).
+        // mix exercises exact and approx serving side by side.
         let approx = (i % 5 == 4).then_some(ApproxConfig {
             n_components: 2,
             n_buckets: 8,
@@ -147,11 +146,11 @@ pub fn synth_requests<D: DatabaseView + ?Sized>(
 ///
 /// # Errors
 ///
-/// Propagates backing construction, ingest, and serving failures.
+/// Propagates catalog construction, ingest, and serving failures.
 pub fn run(config: &ExperimentConfig) -> Result<ServeResult> {
-    let mut backing = config.build_backing()?;
+    let mut db = config.build_database()?;
     let n = config.scaled_trials(config.serve_requests);
-    let (requests, labels) = synth_requests(backing.view(), n, config.serve_top_k, config.seed);
+    let (requests, labels) = synth_requests(&db, n, config.serve_top_k, config.seed);
     let serve_config = config.serve_config();
     let mut cache = ResultCache::new((n * 2).max(16));
     let mut hits = 0;
@@ -172,12 +171,12 @@ pub fn run(config: &ExperimentConfig) -> Result<ServeResult> {
             .map_err(|e| CoreError::invalid_task(format!("synthetic request failed: {e}")))
     };
     let started = Instant::now();
-    let cold = serve_batch_cached(backing.view(), &requests, &serve_config, &mut cache);
+    let cold = serve_batch_cached(&db, &requests, &serve_config, &mut cache);
     absorb(&cold);
     let (responses, ingested_machines) = if config.serve_ingest {
         // Warm pass: the same batch again, answered entirely from the
         // cache (bitwise-identical to the cold responses).
-        let warm = serve_batch_cached(backing.view(), &requests, &serve_config, &mut cache);
+        let warm = serve_batch_cached(&db, &requests, &serve_config, &mut cache);
         absorb(&warm);
         debug_assert_eq!(warm.responses, cold.responses);
         // Streaming ingest: push new machines, bumping the catalog
@@ -185,12 +184,12 @@ pub fn run(config: &ExperimentConfig) -> Result<ServeResult> {
         // re-evaluates against the grown catalog.
         let ingest = synthesize_ingest(
             config.seed ^ 0x16E5_7ED0,
-            backing.view().benchmarks(),
+            db.benchmarks(),
             INGEST_MACHINES,
             config.dataset.noise_sigma,
         )?;
-        backing.push_machines(&ingest)?;
-        let post = serve_batch_cached(backing.view(), &requests, &serve_config, &mut cache);
+        db.push_machines(&ingest)?;
+        let post = serve_batch_cached(&db, &requests, &serve_config, &mut cache);
         absorb(&post);
         (respond(post)?, ingest.len())
     } else {
@@ -206,7 +205,7 @@ pub fn run(config: &ExperimentConfig) -> Result<ServeResult> {
     Ok(ServeResult {
         responses,
         labels,
-        n_shards: backing.n_shards(),
+        n_blocks: db.blocks().len(),
         cache_hits: hits,
         cache_misses: misses,
         cache_invalidations: invalidations,
@@ -218,12 +217,12 @@ pub fn run(config: &ExperimentConfig) -> Result<ServeResult> {
 }
 
 impl ServeResult {
-    /// Total shards scanned across all responses.
+    /// Total column blocks scanned across all responses.
     pub fn shards_scanned(&self) -> usize {
         self.responses.iter().map(|r| r.shards_scanned).sum()
     }
 
-    /// Total shards pruned across all responses.
+    /// Total column blocks pruned across all responses.
     pub fn shards_pruned(&self) -> usize {
         self.responses.iter().map(|r| r.shards_pruned).sum()
     }
@@ -233,9 +232,9 @@ impl fmt::Display for ServeResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "Serve: {} ranking queries against the {}-shard backing",
+            "Serve: {} ranking queries against the {}-block catalog",
             self.responses.len(),
-            self.n_shards
+            self.n_blocks
         )?;
         writeln!(
             f,
@@ -264,7 +263,7 @@ impl fmt::Display for ServeResult {
         };
         writeln!(
             f,
-            "planner: {scanned} shard scans, {pruned} pruned ({pct:.0}% of shard visits avoided)"
+            "planner: {scanned} block scans, {pruned} pruned ({pct:.0}% of block visits avoided)"
         )?;
         write!(
             f,
@@ -312,7 +311,7 @@ mod tests {
         // quick scales 12 nominal requests by 0.1 → at least one.
         assert!(!result.responses.is_empty());
         assert_eq!(result.responses.len(), result.labels.len());
-        assert_eq!(result.n_shards, 8);
+        assert_eq!(result.n_blocks, 8);
         // Plain mode: one cold pass, everything misses, nothing ingested.
         assert_eq!(result.cache_hits, 0);
         assert_eq!(result.cache_misses, result.responses.len() as u64);
@@ -345,7 +344,6 @@ mod tests {
         assert!(text.contains("ingested 8 machines"));
     }
 
-    #[cfg(feature = "approx")]
     #[test]
     fn approx_counters_track_the_mix() {
         // trial_scale 1.0 keeps all 10 requests, so the mix includes the

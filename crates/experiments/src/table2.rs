@@ -28,8 +28,7 @@ pub struct Table2Result {
 ///
 /// Propagates harness and model failures.
 pub fn run(config: &ExperimentConfig) -> Result<Table2Result> {
-    let backing = config.build_backing()?;
-    let db = backing.view();
+    let db = &config.build_database()?;
     let methods = config.methods();
     let cv_config = FamilyCvConfig {
         seed: config.seed,

@@ -29,8 +29,7 @@ pub struct Table3Result {
 ///
 /// Propagates harness and model failures.
 pub fn run(config: &ExperimentConfig) -> Result<Table3Result> {
-    let backing = config.build_backing()?;
-    let db = backing.view();
+    let db = &config.build_database()?;
     let methods = config.methods();
     let temporal_config = TemporalConfig {
         seed: config.seed,

@@ -35,8 +35,7 @@ pub struct Table4Result {
 ///
 /// Propagates harness and model failures.
 pub fn run(config: &ExperimentConfig) -> Result<Table4Result> {
-    let backing = config.build_backing()?;
-    let db = backing.view();
+    let db = &config.build_database()?;
     let methods = config.transposition_methods();
     let sizes = vec![10usize, 5, 3];
     let subset_config = SubsetConfig {

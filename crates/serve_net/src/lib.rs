@@ -18,7 +18,7 @@
 //! bitwise round-trip float formatting, so the bytes a client reads are a
 //! faithful serialization of the in-process
 //! [`RankResponse`](datatrans_core::serve::RankResponse) — identical at
-//! any thread count, any backing, any batching schedule.
+//! any thread count, any block layout, any batching schedule.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -5,7 +5,7 @@
 //! This version rides the ranking-query engine: each (workload, method)
 //! pair becomes one [`RankRequest`] restricted to 2008+ machines, the
 //! whole advisory session is served as **one batch over the worker pool**
-//! against a sharded backing — so the planner's shard pruning and the
+//! against an 8-block catalog — so the planner's block pruning and the
 //! batched execution path are both on display — and every recommendation
 //! is graded against the oracle.
 //!
@@ -18,15 +18,14 @@ use datatrans::core::serve::{serve_batch, AppOfInterest, ModelKind, RankRequest,
 use datatrans::dataset::generator::{generate, DatasetConfig};
 use datatrans::dataset::perf_model::spec_ratio;
 use datatrans::dataset::query::MachineFilter;
-use datatrans::dataset::sharded::ShardedPerfDatabase;
 use datatrans::dataset::view::DatabaseView;
 use datatrans::dataset::workload_synth::{synthesize, WorkloadProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = generate(&DatasetConfig::default())?;
-    // Serve from the sharded backing: candidate restrictions plan against
-    // per-shard statistics instead of scanning the whole catalog.
-    let sharded = ShardedPerfDatabase::from_dense(&db, 8)?;
+    // Serve from 8 column blocks: candidate restrictions plan against
+    // per-block zone maps instead of scanning the whole catalog.
+    let blocked = db.reblock(8)?;
 
     // Candidate purchases: everything released 2008 or later.
     let restrict = MachineFilter::years(2008, u16::MAX);
@@ -63,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // The batch is fault-isolated per slot; this mix is valid by
     // construction, so any per-slot error is a hard failure here.
-    let responses = serve_batch(&sharded, &requests, &ServeConfig::default())
+    let responses = serve_batch(&blocked, &requests, &ServeConfig::default())
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
 
@@ -108,11 +107,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("deficiency = actual performance lost vs the true best candidate (0% = optimal)");
-    println!("shards s/p = storage shards scanned / pruned by the query planner");
+    println!("shards s/p = column blocks scanned / pruned by the query planner");
 
     // A vendor-constrained follow-up: the company will only buy Xeons.
     // Family columns are contiguous in the catalog, so the planner's
-    // per-shard statistics skip every shard without a Xeon.
+    // per-block zone maps skip every block without a Xeon.
     use datatrans::dataset::machine::ProcessorFamily;
     let xeon_only = RankRequest {
         app: AppOfInterest::External(synthesize(WorkloadProfile::ServerInteger, 77)),
@@ -124,13 +123,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         confidence: None,
         approx: None,
     };
-    let response = serve_batch(&sharded, &[xeon_only], &ServeConfig::default())
+    let response = serve_batch(&blocked, &[xeon_only], &ServeConfig::default())
         .pop()
         .expect("one slot")?;
     let response = &response;
     println!(
         "\nXeon-only shortlist (server-integer, NN^T): {} candidates, \
-         {} of 8 shards pruned by family statistics",
+         {} of 8 blocks pruned by family zone maps",
         response.candidates, response.shards_pruned
     );
     for (rank, r) in response.ranked.iter().enumerate() {

@@ -1,12 +1,9 @@
 //! The approximate-serving contract end to end:
 //!
 //! * exact mode (`ApproxConfig = None`) is byte-identical to pre-approx
-//!   serving — pinned against golden machine indices and score bits, so
-//!   running this suite with `--no-default-features` (CI does) proves the
-//!   `approx` feature compiles out without moving a single bit;
+//!   serving — pinned against golden machine indices and score bits;
 //! * approx responses are bitwise-identical across thread counts (1/4 and
-//!   `Auto`), dense vs 8-shard backings, permuted batch order, and cache
-//!   warmth;
+//!   `Auto`), every block layout, permuted batch order, and cache warmth;
 //! * the bucket index after a streaming ingest is indistinguishable from
 //!   one built from scratch: approx serving on a grown catalog matches the
 //!   same catalog built at once, bitwise;
@@ -24,8 +21,6 @@ use datatrans::core::serve::{
 use datatrans::dataset::database::PerfDatabase;
 use datatrans::dataset::generator::{generate, generate_scaled, DatasetConfig, ScaleConfig};
 use datatrans::dataset::query::MachineFilter;
-use datatrans::dataset::sharded::ShardedPerfDatabase;
-use datatrans::dataset::view::DatabaseView;
 use datatrans::parallel::Parallelism;
 
 fn quick_config(parallelism: Parallelism) -> ServeConfig {
@@ -119,8 +114,8 @@ fn assert_responses_bitwise_eq(a: &[RankResponse], b: &[RankResponse], what: &st
     }
 }
 
-/// Strips plan accounting for cross-backing comparison (rankings must be
-/// identical; shard counts legitimately differ).
+/// Strips plan accounting for cross-layout comparison (rankings must be
+/// identical; block counts legitimately differ).
 fn rankings_only(responses: &[RankResponse]) -> Vec<RankResponse> {
     responses
         .iter()
@@ -137,10 +132,7 @@ fn rankings_only(responses: &[RankResponse]) -> Vec<RankResponse> {
 // ---------------------------------------------------------------------
 
 /// Pinned golden for the exact path: if serving an `ApproxConfig = None`
-/// request ever moves a bit — whether the `approx` feature is compiled in
-/// or not — this fails loudly. CI runs the suite under both feature
-/// configurations, so the same literals double as the cross-feature
-/// byte-identity proof.
+/// request ever moves a bit, this fails loudly.
 #[test]
 fn exact_requests_match_the_pinned_golden_ranking() {
     let db = generate(&DatasetConfig::default()).expect("dataset");
@@ -170,50 +162,18 @@ fn exact_requests_match_the_pinned_golden_ranking() {
     );
 }
 
-/// With the feature compiled out, an approx-bearing request serves
-/// exactly: same bits as `ApproxConfig = None`, no annex. Together with
-/// the golden above, the two feature configurations are provably
-/// byte-identical on the exact path.
-#[cfg(not(feature = "approx"))]
-#[test]
-fn without_the_feature_approx_requests_serve_the_exact_ranking() {
-    let db = generate(&DatasetConfig::default()).expect("dataset");
-    let config = quick_config(Parallelism::Sequential);
-    let exact = serve_one(&db, &base_request(), &config).expect("exact serve");
-    let requested = serve_one(
-        &db,
-        &RankRequest {
-            approx: Some(approx_config()),
-            ..base_request()
-        },
-        &config,
-    )
-    .expect("approx-bearing serve");
-    assert!(requested.approx.is_none(), "feature off: no annex");
-    assert_responses_bitwise_eq(
-        &[exact],
-        &[RankResponse {
-            approx: None,
-            ..requested
-        }],
-        "feature off",
-    );
-}
-
 // ---------------------------------------------------------------------
 // Approx determinism
 // ---------------------------------------------------------------------
 
 /// The approx fast path is a pure function of `(request, catalog)`: the
-/// same mixed-model batch served on dense and 8-shard backings, at one
-/// and four worker threads (plus `Auto`, which honours
-/// `DATATRANS_THREADS` — CI pins 1 and 4), in forward and reversed batch
-/// order, must agree bitwise with the sequential dense reference.
-#[cfg(feature = "approx")]
+/// same mixed-model batch served on every block layout, at one and four
+/// worker threads (plus `Auto`, which honours `DATATRANS_THREADS` — CI
+/// pins 1 and 4), in forward and reversed batch order, must agree bitwise
+/// with the sequential single-block reference.
 #[test]
 fn approx_is_bitwise_identical_across_threads_backings_and_order() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
     let batch = approx_mix();
     let mut reversed = batch.clone();
     reversed.reverse();
@@ -227,15 +187,15 @@ fn approx_is_bitwise_identical_across_threads_backings_and_order() {
         assert!(annex.short_circuited > 0, "pruning actually happened");
     }
 
-    let backings: [(&str, &dyn DatabaseView); 2] = [("dense", &dense), ("sharded8", &sharded)];
-    for (backing, view) in backings {
+    for layout in dense.layout_sweep().expect("layouts") {
+        let view = &layout;
         for parallelism in [
             Parallelism::Auto,
             Parallelism::Threads(1),
             Parallelism::Threads(4),
         ] {
             let config = quick_config(parallelism);
-            let what = format!("{backing} @ {parallelism:?}");
+            let what = format!("{} blocks @ {parallelism:?}", layout.blocks().len());
             let forward = rankings_only(&ok_all(serve_batch(view, &batch, &config), &what));
             assert_responses_bitwise_eq(&reference, &forward, &what);
 
@@ -248,45 +208,50 @@ fn approx_is_bitwise_identical_across_threads_backings_and_order() {
 
 /// Cache warmth must not move a bit: a cold cached batch equals the
 /// uncached serve, and the all-hit warm replay equals the cold pass.
-#[cfg(feature = "approx")]
 #[test]
 fn approx_is_bitwise_identical_across_cache_warmth() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
     let batch = approx_mix();
     let config = quick_config(Parallelism::Threads(2));
 
-    let uncached = rankings_only(&ok_all(serve_batch(&sharded, &batch, &config), "uncached"));
-    let mut cache = ResultCache::new(32);
-    let cold = serve_batch_cached(&sharded, &batch, &config, &mut cache);
-    assert_eq!(
-        cold.misses,
-        batch.len() as u64,
-        "cold pass misses everything"
-    );
-    assert_responses_bitwise_eq(
-        &uncached,
-        &rankings_only(&ok_all(cold.responses, "cold")),
-        "cold vs uncached",
-    );
-    let warm = serve_batch_cached(&sharded, &batch, &config, &mut cache);
-    assert_eq!(warm.hits, batch.len() as u64, "warm pass hits everything");
-    assert_responses_bitwise_eq(
-        &uncached,
-        &rankings_only(&ok_all(warm.responses, "warm")),
-        "warm vs uncached",
-    );
+    for layout in dense.layout_sweep().expect("layouts") {
+        let what = format!("{} blocks", layout.blocks().len());
+        let uncached = rankings_only(&ok_all(serve_batch(&layout, &batch, &config), "uncached"));
+        let mut cache = ResultCache::new(32);
+        let cold = serve_batch_cached(&layout, &batch, &config, &mut cache);
+        assert_eq!(
+            cold.misses,
+            batch.len() as u64,
+            "{what}: cold pass misses everything"
+        );
+        assert_responses_bitwise_eq(
+            &uncached,
+            &rankings_only(&ok_all(cold.responses, "cold")),
+            &format!("{what}: cold vs uncached"),
+        );
+        let warm = serve_batch_cached(&layout, &batch, &config, &mut cache);
+        assert_eq!(
+            warm.hits,
+            batch.len() as u64,
+            "{what}: warm pass hits everything"
+        );
+        assert_responses_bitwise_eq(
+            &uncached,
+            &rankings_only(&ok_all(warm.responses, "warm")),
+            &format!("{what}: warm vs uncached"),
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
 // Ingest: rebuilt index ≡ built from scratch
 // ---------------------------------------------------------------------
 
-/// The first `keep` columns of `db` as a standalone dense database.
+/// The first `keep` columns of `db` as a standalone single-block database.
 fn prefix_database(db: &PerfDatabase, keep: usize) -> PerfDatabase {
     let mut scores = Vec::with_capacity(db.n_benchmarks() * keep);
     for b in 0..db.n_benchmarks() {
-        scores.extend_from_slice(&db.benchmark_row(b)[..keep]);
+        scores.extend((0..keep).map(|m| db.score(b, m)));
     }
     PerfDatabase::new(
         db.benchmarks().to_vec(),
@@ -299,9 +264,8 @@ fn prefix_database(db: &PerfDatabase, keep: usize) -> PerfDatabase {
 /// The bucket index is derived afresh from the current catalog on every
 /// serve, so a catalog grown through `push_machines` must serve approx
 /// requests bitwise-identically to the same catalog built at once — on
-/// both backings, including a cached serve whose pre-ingest entries the
-/// version move invalidates.
-#[cfg(feature = "approx")]
+/// every block layout, including a cached serve whose pre-ingest entries
+/// the version move invalidates.
 #[test]
 fn index_rebuilt_after_ingest_equals_built_from_scratch() {
     use datatrans::dataset::database::MachineIngest;
@@ -319,8 +283,7 @@ fn index_rebuilt_after_ingest_equals_built_from_scratch() {
         .collect();
 
     let mut grown_dense = prefix_database(&full, 100);
-    let mut grown_sharded =
-        ShardedPerfDatabase::from_dense(&grown_dense, 4).expect("shardable prefix");
+    let grown_layouts = grown_dense.layout_sweep().expect("layouts");
 
     let request = RankRequest {
         approx: Some(approx_config()),
@@ -336,7 +299,6 @@ fn index_rebuilt_after_ingest_equals_built_from_scratch() {
     assert_eq!(before.misses, 1);
 
     grown_dense.push_machines(&tail).expect("dense ingest");
-    grown_sharded.push_machines(&tail).expect("sharded ingest");
 
     let scratch = serve_one(&full, &request, &config).expect("built-at-once serve");
     let scratch_annex = scratch.approx.expect("annex present");
@@ -348,12 +310,16 @@ fn index_rebuilt_after_ingest_equals_built_from_scratch() {
         &rankings_only(&[on_dense]),
         "grown dense vs scratch",
     );
-    let on_sharded = serve_one(&grown_sharded, &request, &config).expect("grown sharded serve");
-    assert_responses_bitwise_eq(
-        &rankings_only(std::slice::from_ref(&scratch)),
-        &rankings_only(&[on_sharded]),
-        "grown sharded vs scratch",
-    );
+    for mut grown in grown_layouts {
+        let what = format!("grown {} blocks vs scratch", grown.blocks().len());
+        grown.push_machines(&tail).expect("ingest");
+        let on_layout = serve_one(&grown, &request, &config).expect("grown serve");
+        assert_responses_bitwise_eq(
+            &rankings_only(std::slice::from_ref(&scratch)),
+            &rankings_only(&[on_layout]),
+            &what,
+        );
+    }
 
     let after = serve_batch_cached(&grown_dense, &requests, &config, &mut cache);
     assert_eq!(after.misses, 1, "version move invalidated the entry");
@@ -371,7 +337,6 @@ fn index_rebuilt_after_ingest_equals_built_from_scratch() {
 /// `probe_buckets = n_buckets` keeps every bucket, so nothing is
 /// short-circuited and the ranking equals the exact one bit for bit —
 /// for a top-k request and for a full ranking.
-#[cfg(feature = "approx")]
 #[test]
 fn probing_every_bucket_reproduces_the_exact_ranking() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");
@@ -410,8 +375,7 @@ fn probing_every_bucket_reproduces_the_exact_ranking() {
 
 /// Exact and approx variants of the same request live in distinct
 /// fingerprint domains: serving one must never satisfy the other from
-/// the cache. Holds with the feature compiled out too — the fingerprint
-/// is a function of the request alone.
+/// the cache — the fingerprint is a function of the request alone.
 #[test]
 fn exact_and_approx_requests_never_collide_in_the_cache() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");

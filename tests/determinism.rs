@@ -209,7 +209,7 @@ fn kernel_contract_holds_on_generated_characteristics() {
 /// processor family (the sum of every machine column in the family), so
 /// any drift in the scale generator — catalog expansion order, jitter
 /// streams, suite synthesis, noise application — is caught before it can
-/// silently invalidate the sharded-database benches and scale tests.
+/// silently invalidate the database-layer benches and scale tests.
 ///
 /// Why ULP-tolerant rather than bit-exact: the generator's lognormal noise
 /// flows through libm (`ln`/`exp`/`cos`), which is not correctly rounded

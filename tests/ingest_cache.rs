@@ -1,14 +1,13 @@
 //! The streaming-ingest and result-cache contract:
 //!
-//! * a catalog grown through `push_machines` — dense or sharded, in any
-//!   batch split, including across a tail-shard split — is
-//!   **bitwise-identical** to the same catalog built at once, through
-//!   every `DatabaseView` accessor and every model's served rankings, at
-//!   any thread count;
+//! * a catalog grown through `push_machines` — on every block layout, in
+//!   any batch split — is **bitwise-identical** to the same catalog built
+//!   at once, through every `DatabaseView` accessor and every model's
+//!   served rankings, at any thread count;
 //! * request fingerprints are injective over the synthetic request corpus
 //!   and pinned against drift by golden values;
 //! * cache hits are bitwise-identical to cold evaluation across thread
-//!   counts, backings, and batch orderings (including mixed hit/miss
+//!   counts, block layouts, and batch orderings (including mixed hit/miss
 //!   batches), and a catalog-version move invalidates every entry.
 
 use datatrans::core::cache::ResultCache;
@@ -23,7 +22,6 @@ use datatrans::dataset::generator::{
 };
 use datatrans::dataset::machine::ProcessorFamily;
 use datatrans::dataset::query::MachineFilter;
-use datatrans::dataset::sharded::ShardedPerfDatabase;
 use datatrans::dataset::view::DatabaseView;
 use datatrans::dataset::DatasetError;
 use datatrans::experiments::serve::synth_requests;
@@ -93,8 +91,8 @@ fn assert_responses_bitwise_eq(a: &[RankResponse], b: &[RankResponse], what: &st
     }
 }
 
-/// Strips plan accounting for cross-backing comparison (rankings must be
-/// identical; shard counts legitimately differ).
+/// Strips plan accounting for cross-layout comparison (rankings must be
+/// identical; block counts legitimately differ).
 fn rankings_only(responses: &[RankResponse]) -> Vec<RankResponse> {
     responses
         .iter()
@@ -117,11 +115,11 @@ fn tail_as_ingest(db: &PerfDatabase, n: usize) -> Vec<MachineIngest> {
         .collect()
 }
 
-/// The first `keep` columns of `db` as a standalone dense database.
+/// The first `keep` columns of `db` as a standalone single-block database.
 fn prefix_database(db: &PerfDatabase, keep: usize) -> PerfDatabase {
     let mut scores = Vec::with_capacity(db.n_benchmarks() * keep);
     for b in 0..db.n_benchmarks() {
-        scores.extend_from_slice(&db.benchmark_row(b)[..keep]);
+        scores.extend((0..keep).map(|m| db.score(b, m)));
     }
     PerfDatabase::new(
         db.benchmarks().to_vec(),
@@ -138,11 +136,6 @@ fn assert_views_bitwise_eq(grown: &dyn DatabaseView, reference: &dyn DatabaseVie
     assert_eq!(grown.machines(), reference.machines(), "{what}: metadata");
     assert_eq!(grown.benchmarks().len(), reference.benchmarks().len());
     for b in 0..reference.n_benchmarks() {
-        assert_eq!(
-            grown.benchmark_row_vec(b),
-            reference.benchmark_row_vec(b),
-            "{what}: row {b}"
-        );
         for m in 0..reference.n_machines() {
             assert_eq!(
                 grown.score(b, m).to_bits(),
@@ -259,45 +252,13 @@ fn dense_incremental_growth_is_bitwise_equal_to_built_at_once() {
 }
 
 #[test]
-fn sharded_incremental_growth_across_a_split_matches_dense_for_every_model() {
+fn blocked_incremental_growth_matches_single_block_for_every_model() {
     let full = generate_scaled(&ScaleConfig {
         n_machines: 120,
         ..ScaleConfig::default()
     })
     .expect("scaled dataset");
-    let base = prefix_database(&full, 90);
-    // 5 shards of width 18; the 48-wide tail after ingest crosses the
-    // 20-column threshold and splits into 3 pieces of 16.
-    let mut sharded = ShardedPerfDatabase::from_dense(&base, 5)
-        .expect("shardable")
-        .with_split_width(20)
-        .expect("valid threshold");
     let tail = tail_as_ingest(&full, 30);
-    sharded.push_machines(&tail[..10]).expect("first batch");
-    sharded.push_machines(&tail[10..]).expect("second batch");
-    assert_eq!(sharded.n_shards(), 7, "tail split into three pieces");
-    assert!(sharded.shards().iter().all(|s| s.width() <= 20));
-    assert_eq!(sharded.catalog_version(), 2);
-    assert_views_bitwise_eq(&sharded, &full, "sharded incremental");
-    assert_eq!(sharded.to_dense().score_matrix(), full.score_matrix());
-
-    // Planner equivalence on the grown layout: pruned plans must list
-    // exactly the machines a full scan finds.
-    let threshold = full.score(2, 60);
-    for filter in [
-        MachineFilter::all(),
-        MachineFilter::family(ProcessorFamily::Xeon),
-        MachineFilter::years(2005, 2008),
-        MachineFilter::all().with_min_score(2, threshold),
-        MachineFilter::all().with_subset((0..120).step_by(9).collect()),
-    ] {
-        let plan = DatabaseView::plan_machines(&sharded, &filter);
-        let dense_plan = DatabaseView::plan_machines(&full, &filter);
-        assert_eq!(plan.machines, dense_plan.machines, "{filter:?}");
-    }
-
-    // Every model's served rankings, honouring DATATRANS_THREADS via
-    // Parallelism::Auto, must match the dense built-at-once catalog.
     let requests: Vec<RankRequest> = ModelKind::ALL
         .iter()
         .enumerate()
@@ -312,85 +273,96 @@ fn sharded_incremental_growth_across_a_split_matches_dense_for_every_model() {
             approx: None,
         })
         .collect();
+    // Every model's served rankings, honouring DATATRANS_THREADS via
+    // Parallelism::Auto, must match the single-block built-at-once catalog.
     let config = quick_config(Parallelism::Auto);
-    let on_dense = ok_all(serve_batch(&full, &requests, &config), "dense serve");
-    let on_grown = ok_all(serve_batch(&sharded, &requests, &config), "sharded serve");
-    assert_responses_bitwise_eq(
-        &rankings_only(&on_dense),
-        &rankings_only(&on_grown),
-        "grown sharded vs built-at-once dense",
+    let on_full = ok_all(
+        serve_batch(&full, &requests, &config),
+        "built-at-once serve",
     );
+    let threshold = full.score(2, 60);
+
+    for mut grown in prefix_database(&full, 90).layout_sweep().expect("layouts") {
+        let n_blocks = grown.blocks().len();
+        let what = format!("{n_blocks}-block incremental");
+        grown.push_machines(&tail[..10]).expect("first batch");
+        grown.push_machines(&tail[10..]).expect("second batch");
+        assert_eq!(grown.blocks().len(), n_blocks, "{what}: the tail absorbs");
+        assert_eq!(grown.catalog_version(), 2);
+        assert_views_bitwise_eq(&grown, &full, &what);
+
+        // Planner equivalence on the grown layout: pruned plans must list
+        // exactly the machines a full scan finds.
+        for filter in [
+            MachineFilter::all(),
+            MachineFilter::family(ProcessorFamily::Xeon),
+            MachineFilter::years(2005, 2008),
+            MachineFilter::all().with_min_score(2, threshold),
+            MachineFilter::all().with_subset((0..120).step_by(9).collect()),
+        ] {
+            let plan = grown.plan_machines(&filter);
+            let full_plan = full.plan_machines(&filter);
+            assert_eq!(plan.machines, full_plan.machines, "{what}: {filter:?}");
+        }
+
+        let on_grown = ok_all(serve_batch(&grown, &requests, &config), &what);
+        assert_responses_bitwise_eq(&rankings_only(&on_full), &rankings_only(&on_grown), &what);
+    }
 }
 
 #[test]
 fn synthesized_ingest_is_split_invariant_on_both_backings() {
-    let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let batch = synthesize_ingest(3, dense.benchmarks(), 12, 0.015).expect("batch");
+    let db = generate(&DatasetConfig::default()).expect("dataset");
+    let batch = synthesize_ingest(3, db.benchmarks(), 12, 0.015).expect("batch");
+    let mut reference = db.clone();
+    reference.push_machines(&batch).expect("push");
 
-    let mut at_once = dense.clone();
-    at_once.push_machines(&batch).expect("push");
-    let mut chunked = dense.clone();
-    for chunk in batch.chunks(5) {
-        chunked.push_machines(chunk).expect("push chunk");
+    for layout in db.layout_sweep().expect("layouts") {
+        let what = format!("{} blocks", layout.blocks().len());
+        let mut at_once = layout.clone();
+        at_once.push_machines(&batch).expect("push");
+        let mut chunked = layout;
+        for chunk in batch.chunks(5) {
+            chunked.push_machines(chunk).expect("push chunk");
+        }
+        assert_eq!(at_once.catalog_version(), 1);
+        assert_eq!(chunked.catalog_version(), 3);
+        assert_views_bitwise_eq(&chunked, &at_once, &format!("{what}: chunked vs at once"));
+        assert_views_bitwise_eq(&at_once, &reference, &format!("{what}: vs one block"));
     }
-    assert_eq!(at_once.score_matrix(), chunked.score_matrix());
-    assert_eq!(at_once.machines(), chunked.machines());
-    assert_eq!(at_once.catalog_version(), 1);
-    assert_eq!(chunked.catalog_version(), 3);
-
-    let mut sharded_once = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
-    sharded_once.push_machines(&batch).expect("push");
-    let mut sharded_chunked = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
-    for chunk in batch.chunks(5) {
-        sharded_chunked.push_machines(chunk).expect("push chunk");
-    }
-    assert_views_bitwise_eq(
-        &sharded_chunked,
-        &sharded_once,
-        "sharded chunked vs at once",
-    );
-    assert_views_bitwise_eq(&sharded_once, &at_once, "sharded vs dense ingest");
 }
 
 #[test]
 fn empty_and_invalid_pushes_behave_on_both_backings() {
-    let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let mut db = dense.clone();
-    db.push_machines(&[]).expect("empty push");
-    assert_eq!(db.catalog_version(), 0, "empty push must not bump");
-    assert_eq!(db.score_matrix(), dense.score_matrix());
-
-    let mut sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
-    sharded.push_machines(&[]).expect("empty push");
-    assert_eq!(sharded.catalog_version(), 0, "empty push must not bump");
-
+    let db = generate(&DatasetConfig::default()).expect("dataset");
     let short = MachineIngest {
-        machine: dense.machines()[0].clone(),
+        machine: db.machines()[0].clone(),
         scores: vec![1.0; 28],
     };
-    assert_eq!(
-        db.push_machines(std::slice::from_ref(&short)),
-        Err(DatasetError::BenchmarkCountMismatch {
-            expected: 29,
-            got: 28
-        })
-    );
-    assert_eq!(
-        sharded.push_machines(std::slice::from_ref(&short)),
-        Err(DatasetError::BenchmarkCountMismatch {
-            expected: 29,
-            got: 28
-        })
-    );
     let negative = MachineIngest {
-        machine: dense.machines()[0].clone(),
+        machine: db.machines()[0].clone(),
         scores: vec![-1.0; 29],
     };
-    assert!(matches!(
-        db.push_machines(std::slice::from_ref(&negative)),
-        Err(DatasetError::InvalidConfig { name: "scores", .. })
-    ));
-    assert_eq!(db.catalog_version(), 0, "failed pushes must not bump");
+    for mut layout in db.layout_sweep().expect("layouts") {
+        let before = layout.clone();
+        layout.push_machines(&[]).expect("empty push");
+        assert_eq!(layout.catalog_version(), 0, "empty push must not bump");
+        assert_eq!(
+            layout.push_machines(std::slice::from_ref(&short)),
+            Err(DatasetError::BenchmarkCountMismatch {
+                expected: 29,
+                got: 28
+            })
+        );
+        assert!(matches!(
+            layout.push_machines(std::slice::from_ref(&negative)),
+            Err(DatasetError::InvalidConfig { name: "scores", .. })
+        ));
+        assert_eq!(
+            layout, before,
+            "failed pushes must leave the catalog unchanged"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -448,18 +420,17 @@ fn cache_request_mix(db: &dyn DatabaseView) -> Vec<RankRequest> {
 #[test]
 fn cache_hits_are_bitwise_identical_across_threads_backings_and_orderings() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
     let requests = cache_request_mix(&dense);
     let reference = ok_all(
         serve_batch(&dense, &requests, &quick_config(Parallelism::Sequential)),
         "cold reference",
     );
 
-    let backings: [(&str, &dyn DatabaseView); 2] = [("dense", &dense), ("sharded8", &sharded)];
-    for (backing, view) in backings {
+    for layout in dense.layout_sweep().expect("layouts") {
+        let view = &layout;
         for threads in [1usize, 4] {
             let config = quick_config(Parallelism::Threads(threads));
-            let what = format!("{backing} @ {threads} threads");
+            let what = format!("{} blocks @ {threads} threads", layout.blocks().len());
             let mut cache = ResultCache::new(16);
             let cold = serve_batch_cached(view, &requests, &config, &mut cache);
             assert_eq!((cold.hits, cold.misses), (0, 4), "{what}");
@@ -508,29 +479,38 @@ fn cache_hits_are_bitwise_identical_across_threads_backings_and_orderings() {
 #[test]
 fn version_move_invalidates_and_reserves_against_the_grown_catalog() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let mut sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
     let requests = cache_request_mix(&dense);
     let config = quick_config(Parallelism::Sequential);
-    let mut cache = ResultCache::new(16);
-    let cold = serve_batch_cached(&sharded, &requests, &config, &mut cache);
-    let cold_responses = ok_all(cold.responses, "cold");
-
     let batch = synthesize_ingest(17, dense.benchmarks(), 6, 0.015).expect("ingest");
-    sharded.push_machines(&batch).expect("push");
+    for mut layout in dense.layout_sweep().expect("layouts") {
+        let what = format!("{} blocks", layout.blocks().len());
+        let mut cache = ResultCache::new(16);
+        let cold = serve_batch_cached(&layout, &requests, &config, &mut cache);
+        let cold_responses = ok_all(cold.responses, "cold");
 
-    let post = serve_batch_cached(&sharded, &requests, &config, &mut cache);
-    assert_eq!(post.invalidations, 4, "every resident entry dropped");
-    assert_eq!((post.hits, post.misses), (0, 4), "nothing stale served");
-    let post_responses = ok_all(post.responses, "post");
-    // The unrestricted request now sees the grown candidate set.
-    assert_eq!(
-        post_responses[3].candidates,
-        cold_responses[3].candidates + batch.len()
-    );
-    // And the grown responses match a cold evaluation against the grown
-    // catalog exactly.
-    let fresh = ok_all(serve_batch(&sharded, &requests, &config), "fresh");
-    assert_responses_bitwise_eq(&fresh, &post_responses, "post-ingest vs fresh");
+        layout.push_machines(&batch).expect("push");
+
+        let post = serve_batch_cached(&layout, &requests, &config, &mut cache);
+        assert_eq!(
+            post.invalidations, 4,
+            "{what}: every resident entry dropped"
+        );
+        assert_eq!(
+            (post.hits, post.misses),
+            (0, 4),
+            "{what}: nothing stale served"
+        );
+        let post_responses = ok_all(post.responses, "post");
+        // The unrestricted request now sees the grown candidate set.
+        assert_eq!(
+            post_responses[3].candidates,
+            cold_responses[3].candidates + batch.len()
+        );
+        // And the grown responses match a cold evaluation against the grown
+        // catalog exactly.
+        let fresh = ok_all(serve_batch(&layout, &requests, &config), "fresh");
+        assert_responses_bitwise_eq(&fresh, &post_responses, &what);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -581,9 +561,8 @@ fn confidence_fingerprints_never_collide_with_plain_requests() {
 fn confidence_cache_hits_are_bitwise_identical_to_cold_evaluation() {
     // Warm-vs-cold identity for confidence-bearing requests: the annex
     // (rank CIs, tie groups) is stored verbatim and replayed bitwise, on
-    // either backing, at either pinned thread count.
+    // every block layout, at either pinned thread count.
     let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
     let mut requests = cache_request_mix(&dense);
     for request in &mut requests {
         request.confidence = Some(ConfidenceConfig {
@@ -601,11 +580,14 @@ fn confidence_cache_hits_are_bitwise_identical_to_cold_evaluation() {
         "every response carries the annex"
     );
 
-    let backings: [(&str, &dyn DatabaseView); 2] = [("dense", &dense), ("sharded8", &sharded)];
-    for (backing, view) in backings {
+    for layout in dense.layout_sweep().expect("layouts") {
+        let view = &layout;
         for threads in [1usize, 4] {
             let config = quick_config(Parallelism::Threads(threads));
-            let what = format!("confidence {backing} @ {threads} threads");
+            let what = format!(
+                "confidence {} blocks @ {threads} threads",
+                layout.blocks().len()
+            );
             let mut cache = ResultCache::new(16);
             let cold = serve_batch_cached(view, &requests, &config, &mut cache);
             assert_eq!((cold.hits, cold.misses), (0, 4), "{what}");

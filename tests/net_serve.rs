@@ -3,7 +3,7 @@
 //! * wire responses are **byte-identical** to in-process
 //!   `serve_batch` for the same requests — across thread counts
 //!   (`DATATRANS_THREADS` via `Parallelism::Auto`; CI runs this suite at
-//!   1 and 4), across backings, and across the batching window's
+//!   1 and 4), across block layouts, and across the batching window's
 //!   coalescing schedule;
 //! * malformed input never panics the server, never kills the
 //!   connection, and never desynchronizes the one-response-per-line
@@ -23,7 +23,6 @@ use datatrans::core::serve::{
 };
 use datatrans::dataset::generator::{generate, DatasetConfig};
 use datatrans::dataset::query::MachineFilter;
-use datatrans::dataset::sharded::ShardedPerfDatabase;
 use datatrans::dataset::view::DatabaseView;
 use datatrans::experiments::serve::synth_requests;
 use datatrans::parallel::Parallelism;
@@ -127,8 +126,9 @@ fn wire_responses_byte_identical_to_in_process_serving() {
 }
 
 /// Blanks the `shards=<scanned>/<pruned>` token: planner telemetry is
-/// backing-dependent by design (dense has one shard; sharded backings
-/// scan and prune several), while everything else on the line is pinned.
+/// layout-dependent by design (one block is always scanned; several
+/// blocks are scanned or pruned), while everything else on the line is
+/// pinned.
 fn blank_shard_telemetry(line: &str) -> String {
     line.split(' ')
         .map(|token| {
@@ -145,9 +145,9 @@ fn blank_shard_telemetry(line: &str) -> String {
 #[test]
 fn wire_bytes_identical_across_explicit_thread_counts_and_backings() {
     let dense = generate(&DatasetConfig::default()).unwrap();
-    let sharded = ShardedPerfDatabase::from_dense(&dense, 8).unwrap();
     let requests = request_mix(&dense);
     let lines: Vec<String> = requests.iter().map(write_request).collect();
+    let layouts = dense.layout_sweep().unwrap();
 
     let baseline = {
         let server = NetServer::spawn(
@@ -161,26 +161,27 @@ fn wire_bytes_identical_across_explicit_thread_counts_and_backings() {
     for response in &baseline {
         assert!(response.starts_with("ok "), "mix must serve: {response}");
     }
-    let threaded = {
+    // Rankings, scores, candidate counts, and the confidence annex are
+    // bitwise-pinned across thread counts and block layouts; only the
+    // block scan/prune telemetry reflects the physical layout.
+    let normalize = |responses: &[String]| -> Vec<String> {
+        responses.iter().map(|r| blank_shard_telemetry(r)).collect()
+    };
+    for layout in layouts {
+        let n_blocks = layout.blocks().len();
         let server = NetServer::spawn(
-            Arc::new(sharded),
+            Arc::new(layout),
             "127.0.0.1:0",
             quick_net_config(Parallelism::Threads(4)),
         )
         .unwrap();
-        exchange(&server, &lines)
-    };
-    // Rankings, scores, candidate counts, and the confidence annex are
-    // bitwise-pinned across thread counts and backings; only the shard
-    // scan/prune telemetry reflects the backing's physical layout.
-    let normalize = |responses: &[String]| -> Vec<String> {
-        responses.iter().map(|r| blank_shard_telemetry(r)).collect()
-    };
-    assert_eq!(
-        normalize(&baseline),
-        normalize(&threaded),
-        "sequential/dense vs 4-thread/sharded wire bytes"
-    );
+        let threaded = exchange(&server, &lines);
+        assert_eq!(
+            normalize(&baseline),
+            normalize(&threaded),
+            "sequential/one block vs 4-thread/{n_blocks}-block wire bytes"
+        );
+    }
 }
 
 /// Builds the seeded fuzz corpus: hostile fixed cases plus random

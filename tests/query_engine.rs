@@ -1,7 +1,7 @@
 //! The serving contract of the concurrent ranking-query engine: batched,
-//! pruned, parallel query execution is **bitwise-identical** to the dense
-//! sequential baseline for every model — across thread counts, database
-//! backings (including non-dividing shard counts), and batch
+//! pruned, parallel query execution is **bitwise-identical** to the
+//! single-block sequential baseline for every model — across thread
+//! counts, block layouts (including non-dividing block counts), and batch
 //! permutations.
 
 use datatrans::core::serve::{
@@ -11,7 +11,6 @@ use datatrans::core::serve::{
 use datatrans::dataset::generator::{generate, DatasetConfig};
 use datatrans::dataset::machine::ProcessorFamily;
 use datatrans::dataset::query::MachineFilter;
-use datatrans::dataset::sharded::ShardedPerfDatabase;
 use datatrans::dataset::view::DatabaseView;
 use datatrans::dataset::workload_synth::{synthesize, WorkloadProfile};
 use datatrans::parallel::Parallelism;
@@ -162,8 +161,8 @@ fn assert_responses_bitwise_eq(a: &[RankResponse], b: &[RankResponse], what: &st
     }
 }
 
-/// Strips the plan-accounting fields for dense-vs-sharded comparison (the
-/// ranking must be identical; the shard counts legitimately differ).
+/// Strips the plan-accounting fields for cross-layout comparison (the
+/// ranking must be identical; the block counts legitimately differ).
 fn rankings_only(responses: &[RankResponse]) -> Vec<RankResponse> {
     responses
         .iter()
@@ -194,41 +193,41 @@ fn batch_responses_identical_at_any_thread_count() {
 
 #[test]
 fn pruned_sharded_serving_matches_dense_for_every_model() {
-    // Non-dividing (8 over 117) and width-1 (117) shard layouts, at
-    // several thread counts: the ranking bytes must match the dense
-    // sequential baseline exactly, while the sharded planner actually
-    // prunes.
+    // Every block layout, at several thread counts: the ranking bytes
+    // must match the single-block sequential baseline exactly, while the
+    // multi-block planner actually prunes.
     let db = generate(&DatasetConfig::default()).expect("dataset");
     let requests = request_mix(&db);
     let reference = ok_all(
         serve_batch(&db, &requests, &quick_config(Parallelism::Sequential)),
-        "dense sequential",
+        "single-block sequential",
     );
     assert!(reference.iter().all(|r| r.shards_pruned == 0));
-    for n_shards in [8usize, 117] {
-        let sharded = ShardedPerfDatabase::from_dense(&db, n_shards).expect("shardable");
+    for blocked in db.layout_sweep().expect("layouts") {
+        let n_blocks = blocked.blocks().len();
         for threads in [1usize, 4] {
             let responses = ok_all(
                 serve_batch(
-                    &sharded,
+                    &blocked,
                     &requests,
                     &quick_config(Parallelism::Threads(threads)),
                 ),
-                "sharded batch",
+                "blocked batch",
             );
             assert_responses_bitwise_eq(
                 &rankings_only(&reference),
                 &rankings_only(&responses),
-                &format!("{n_shards} shards, {threads} threads"),
+                &format!("{n_blocks} blocks, {threads} threads"),
             );
-            // Family-restricted requests must skip most of the catalog.
+            // Family-restricted requests must skip most of the catalog
+            // (a lone block is always scanned).
             let family_pruned = responses.iter().filter(|r| r.shards_pruned > 0).count();
             assert!(
-                family_pruned >= 3,
-                "{n_shards} shards: expected pruned plans, saw {family_pruned}"
+                n_blocks == 1 || family_pruned >= 3,
+                "{n_blocks} blocks: expected pruned plans, saw {family_pruned}"
             );
             for r in &responses {
-                assert_eq!(r.shards_scanned + r.shards_pruned, n_shards);
+                assert_eq!(r.shards_scanned + r.shards_pruned, n_blocks);
             }
         }
     }
@@ -239,13 +238,13 @@ fn batch_order_is_irrelevant() {
     // Permuting the batch permutes the responses identically: each
     // response depends only on its own request.
     let db = generate(&DatasetConfig::default()).expect("dataset");
-    let sharded = ShardedPerfDatabase::from_dense(&db, 5).expect("shardable");
+    let blocked = db.reblock(5).expect("5 blocks");
     let requests = request_mix(&db);
     let config = quick_config(Parallelism::Threads(2));
-    let forward = ok_all(serve_batch(&sharded, &requests, &config), "forward");
+    let forward = ok_all(serve_batch(&blocked, &requests, &config), "forward");
     let reversed_requests: Vec<RankRequest> = requests.iter().rev().cloned().collect();
     let reversed = ok_all(
-        serve_batch(&sharded, &reversed_requests, &config),
+        serve_batch(&blocked, &reversed_requests, &config),
         "reversed",
     );
     let unreversed: Vec<RankResponse> = reversed.into_iter().rev().collect();
@@ -255,42 +254,18 @@ fn batch_order_is_irrelevant() {
 #[test]
 fn batch_agrees_with_one_by_one_serving() {
     let db = generate(&DatasetConfig::default()).expect("dataset");
-    let sharded = ShardedPerfDatabase::from_dense(&db, 8).expect("shardable");
+    let blocked = db.reblock(8).expect("8 blocks");
     let requests = request_mix(&db);
     let config = quick_config(Parallelism::Threads(4));
-    let batch = ok_all(serve_batch(&sharded, &requests, &config), "batch");
+    let batch = ok_all(serve_batch(&blocked, &requests, &config), "batch");
     for (i, request) in requests.iter().enumerate() {
-        let single = serve_one(&sharded, request, &config).expect("single");
+        let single = serve_one(&blocked, request, &config).expect("single");
         assert_responses_bitwise_eq(
             std::slice::from_ref(&batch[i]),
             std::slice::from_ref(&single),
             &format!("request {i}"),
         );
     }
-}
-
-#[test]
-fn parallel_gather_backing_serves_identical_responses() {
-    // The same batch on a sharded backing whose gathers fan out over the
-    // pool: responses must be bitwise-identical to the sequential-gather
-    // backing (nested fan-out — batch workers issuing parallel gathers —
-    // included).
-    let db = generate(&DatasetConfig::default()).expect("dataset");
-    let requests = request_mix(&db);
-    let config = quick_config(Parallelism::Threads(2));
-    let plain = ShardedPerfDatabase::from_dense(&db, 6).expect("shardable");
-    let reference = ok_all(
-        serve_batch(&plain, &requests, &config),
-        "sequential gathers",
-    );
-    let gather_parallel = ShardedPerfDatabase::from_dense(&db, 6)
-        .expect("shardable")
-        .with_parallelism(Parallelism::Threads(2));
-    let responses = ok_all(
-        serve_batch(&gather_parallel, &requests, &config),
-        "parallel gathers",
-    );
-    assert_responses_bitwise_eq(&reference, &responses, "parallel-gather backing");
 }
 
 #[test]
@@ -333,7 +308,7 @@ fn top_k_is_a_prefix_of_the_full_ranking() {
 fn confidence_annexes_identical_across_threads_backings_and_order() {
     // Tie groups and bootstrap rank CIs ride the same determinism
     // contract as the rankings: bitwise-identical across thread counts,
-    // dense vs sharded backings, and batch permutations.
+    // block layouts, and batch permutations.
     let db = generate(&DatasetConfig::default()).expect("dataset");
     let mut requests = request_mix(&db);
     for request in &mut requests {
@@ -352,7 +327,7 @@ fn confidence_annexes_identical_across_threads_backings_and_order() {
         "every response carries the annex"
     );
 
-    // Thread counts on the dense backing.
+    // Thread counts on the single block.
     for threads in [1usize, 4] {
         let parallel = ok_all(
             serve_batch(&db, &requests, &quick_config(Parallelism::Threads(threads))),
@@ -365,23 +340,19 @@ fn confidence_annexes_identical_across_threads_backings_and_order() {
         );
     }
 
-    // Sharded backing, plus a permuted batch on it.
-    let sharded = ShardedPerfDatabase::from_dense(&db, 8).expect("shardable");
+    // Every block layout, plus a permuted batch on it.
     let config = quick_config(Parallelism::Threads(4));
-    let on_sharded = ok_all(
-        serve_batch(&sharded, &requests, &config),
-        "confidence sharded",
-    );
-    assert_responses_bitwise_eq(
-        &rankings_only(&reference),
-        &rankings_only(&on_sharded),
-        "confidence sharded8",
-    );
     let reversed_requests: Vec<RankRequest> = requests.iter().rev().cloned().collect();
-    let reversed = ok_all(
-        serve_batch(&sharded, &reversed_requests, &config),
-        "confidence reversed",
-    );
-    let unreversed: Vec<RankResponse> = reversed.into_iter().rev().collect();
-    assert_responses_bitwise_eq(&on_sharded, &unreversed, "confidence reversed batch");
+    for layout in db.layout_sweep().expect("layouts") {
+        let what = format!("confidence {} blocks", layout.blocks().len());
+        let on_layout = ok_all(serve_batch(&layout, &requests, &config), &what);
+        assert_responses_bitwise_eq(
+            &rankings_only(&reference),
+            &rankings_only(&on_layout),
+            &what,
+        );
+        let reversed = ok_all(serve_batch(&layout, &reversed_requests, &config), &what);
+        let unreversed: Vec<RankResponse> = reversed.into_iter().rev().collect();
+        assert_responses_bitwise_eq(&on_layout, &unreversed, &format!("{what} reversed"));
+    }
 }

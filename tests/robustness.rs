@@ -3,14 +3,14 @@
 //! * `sigma = 0` perturbation is a bitwise no-op — on the catalog bytes
 //!   and on every served ranking;
 //! * the perturbation-robustness sweep (`repro robustness`) is
-//!   bitwise-deterministic across thread counts, with its dense-vs-sharded
+//!   bitwise-deterministic across thread counts, with its block-layout
 //!   equivalence check enforced inside the driver;
 //! * confidence annexes (bootstrap rank CIs + tie groups) are identical
 //!   under `Parallelism::Auto` (honouring `DATATRANS_THREADS`) and
-//!   explicit thread counts, on either backing;
+//!   explicit thread counts, on every block layout;
 //! * a malformed request in a batch yields a typed per-slot error of the
 //!   right [`ServeError`] variant while every other slot serves correctly,
-//!   on either backing at any thread count.
+//!   on every block layout at any thread count.
 
 use datatrans::core::serve::{
     serve_batch, serve_one, AppOfInterest, ConfidenceConfig, ModelKind, RankRequest, RankResponse,
@@ -18,8 +18,6 @@ use datatrans::core::serve::{
 };
 use datatrans::dataset::generator::{generate, perturb_database, DatasetConfig, NoiseConfig};
 use datatrans::dataset::query::MachineFilter;
-use datatrans::dataset::sharded::ShardedPerfDatabase;
-use datatrans::dataset::view::DatabaseView;
 use datatrans::experiments::{robustness, ExperimentConfig};
 use datatrans::parallel::Parallelism;
 
@@ -84,7 +82,7 @@ fn zero_noise_perturbation_is_a_bitwise_noop_end_to_end() {
         },
     )
     .expect("perturb");
-    assert_eq!(clean.score_matrix(), perturbed.score_matrix());
+    assert_eq!(clean.blocks(), perturbed.blocks());
     assert_eq!(clean.machines(), perturbed.machines());
 
     // And the served ranking is bitwise-identical too.
@@ -104,16 +102,8 @@ fn nonzero_noise_moves_scores_but_stays_deterministic() {
     };
     let a = perturb_database(&clean, &noise).expect("perturb a");
     let b = perturb_database(&clean, &noise).expect("perturb b");
-    assert_eq!(
-        a.score_matrix(),
-        b.score_matrix(),
-        "same stream, same bytes"
-    );
-    assert_ne!(
-        a.score_matrix(),
-        clean.score_matrix(),
-        "sigma > 0 actually perturbs"
-    );
+    assert_eq!(a.blocks(), b.blocks(), "same stream, same bytes");
+    assert_ne!(a.blocks(), clean.blocks(), "sigma > 0 actually perturbs");
 }
 
 #[test]
@@ -154,7 +144,6 @@ fn confidence_annex_identical_under_auto_and_explicit_parallelism() {
     // at the pinned thread counts exercises the env-driven path against
     // explicit pool sizes and the sequential baseline.
     let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
     let request = RankRequest {
         confidence: Some(ConfidenceConfig {
             repeats: 4,
@@ -168,15 +157,15 @@ fn confidence_annex_identical_under_auto_and_explicit_parallelism() {
     let annex = reference.confidence.as_ref().expect("annex present");
     assert_eq!(annex.ranked.len(), reference.ranked.len());
 
-    // Plan accounting legitimately differs across backings; everything
-    // else must match bitwise.
+    // Plan accounting legitimately differs across block layouts;
+    // everything else must match bitwise.
     let strip = |r: &RankResponse| RankResponse {
         shards_scanned: 0,
         shards_pruned: 0,
         ..r.clone()
     };
-    let backings: [&dyn DatabaseView; 2] = [&dense, &sharded];
-    for view in backings {
+    for layout in dense.layout_sweep().expect("layouts") {
+        let view = &layout;
         for parallelism in [
             Parallelism::Auto,
             Parallelism::Threads(1),
@@ -186,7 +175,8 @@ fn confidence_annex_identical_under_auto_and_explicit_parallelism() {
                 serve_one(view, &request, &quick_config(parallelism)).expect("parallel serve");
             assert!(
                 responses_bitwise_eq(&strip(&reference), &strip(&served)),
-                "{parallelism:?}"
+                "{} blocks, {parallelism:?}",
+                layout.blocks().len()
             );
         }
     }
@@ -195,7 +185,6 @@ fn confidence_annex_identical_under_auto_and_explicit_parallelism() {
 #[test]
 fn malformed_slots_fail_typed_while_the_rest_of_the_batch_serves() {
     let dense = generate(&DatasetConfig::default()).expect("dataset");
-    let sharded = ShardedPerfDatabase::from_dense(&dense, 8).expect("shardable");
     let bound = dense.n_benchmarks();
     let machines = dense.n_machines();
 
@@ -233,11 +222,11 @@ fn malformed_slots_fail_typed_while_the_rest_of_the_batch_serves() {
         },
     ];
 
-    let backings: [(&str, &dyn DatabaseView); 2] = [("dense", &dense), ("sharded8", &sharded)];
-    for (backing, view) in backings {
+    for layout in dense.layout_sweep().expect("layouts") {
+        let view = &layout;
         for threads in [1usize, 4] {
             let config = quick_config(Parallelism::Threads(threads));
-            let what = format!("{backing} @ {threads} threads");
+            let what = format!("{} blocks @ {threads} threads", layout.blocks().len());
             let slots = serve_batch(view, &batch, &config);
             assert_eq!(slots.len(), batch.len(), "{what}");
 
