@@ -329,3 +329,110 @@ fn predictions_match_golden_snapshot() {
         );
     }
 }
+
+/// Golden digest of the rank-confidence annex on the wire: FNV-1a 64 over
+/// the `render_result` lines of a fixed set of confidence requests on the
+/// paper catalog and the 1k-machine scale catalog. The set spans zero
+/// noise (degenerate intervals, singleton tie groups), the default
+/// configuration, heavy overlap (`sigma = 0.5`), a single replicate, the
+/// levels 0.5 and 0.99, and both full and `top_k` rankings, so any change
+/// to the bootstrap's draws, replicate ranking, percentile selection or
+/// tie grouping moves the digest. Bit-exact because the lines carry the
+/// shortest round-trip text of every float; gated to x86-64 linux-gnu
+/// like the snapshots above, since predicted scores and synthetic
+/// measurements flow through libm.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+#[test]
+fn confidence_annex_matches_golden_digest() {
+    use datatrans::core::serve::{
+        serve_batch, AppOfInterest, ConfidenceConfig, ModelKind, RankRequest, ServeConfig,
+    };
+    use datatrans::dataset::generator::{generate_scaled, ScaleConfig};
+    use datatrans::dataset::query::MachineFilter;
+    use datatrans::serve_net::render_result;
+
+    let request = |app: usize,
+                   model: ModelKind,
+                   top_k: Option<usize>,
+                   seed: u64,
+                   confidence: ConfidenceConfig| RankRequest {
+        app: AppOfInterest::Suite(app),
+        model,
+        predictive: vec![0, 30, 60],
+        restrict: MachineFilter::all(),
+        top_k,
+        seed,
+        confidence: Some(confidence),
+        approx: None,
+    };
+    let default = ConfidenceConfig::default();
+    let zero_noise = ConfidenceConfig {
+        sigma: 0.0,
+        ..default
+    };
+    let heavy_overlap = ConfidenceConfig {
+        sigma: 0.5,
+        repeats: 4,
+        resamples: 100,
+        ..default
+    };
+    let one_replicate = ConfidenceConfig {
+        resamples: 1,
+        ..default
+    };
+    let narrow_level = ConfidenceConfig {
+        level: 0.5,
+        sigma: 0.05,
+        ..default
+    };
+    let wide_level = ConfidenceConfig {
+        level: 0.99,
+        sigma: 0.2,
+        repeats: 2,
+        resamples: 300,
+    };
+    let paper_requests = vec![
+        request(2, ModelKind::NnT, None, 11, default),
+        request(5, ModelKind::NnT, Some(10), 12, zero_noise),
+        request(7, ModelKind::MlpT, None, 13, heavy_overlap),
+        request(3, ModelKind::GaKnn, Some(5), 14, one_replicate),
+        request(9, ModelKind::NnT, Some(20), 15, narrow_level),
+        request(11, ModelKind::NnT, None, 16, wide_level),
+    ];
+    let scale_requests = vec![
+        request(1, ModelKind::NnT, None, 21, default),
+        request(4, ModelKind::NnT, Some(25), 22, heavy_overlap),
+        request(6, ModelKind::NnT, None, 23, zero_noise),
+        request(8, ModelKind::NnT, Some(40), 24, wide_level),
+        request(10, ModelKind::NnT, None, 25, one_replicate),
+        request(12, ModelKind::NnT, None, 26, narrow_level),
+    ];
+    let config = ServeConfig::quick();
+    let paper = generate(&DatasetConfig::default()).expect("dataset");
+    let scale = generate_scaled(&ScaleConfig::default()).expect("scale dataset");
+    let mut lines: Vec<String> = serve_batch(&paper, &paper_requests, &config)
+        .iter()
+        .map(render_result)
+        .collect();
+    lines.extend(
+        serve_batch(&scale, &scale_requests, &config)
+            .iter()
+            .map(render_result),
+    );
+    for line in &lines {
+        assert!(
+            line.starts_with("ok ") && line.contains(" confidence="),
+            "confidence request failed: {line}"
+        );
+    }
+    let digest = lines
+        .iter()
+        .flat_map(|line| line.bytes().chain(std::iter::once(b'\n')))
+        .fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        });
+    assert_eq!(
+        digest, 17836916474572046211,
+        "confidence annex wire bytes drifted from the golden digest"
+    );
+}
