@@ -46,7 +46,10 @@ use datatrans_parallel::Parallelism;
 use datatrans_serve_net::protocol::{render_result, write_request};
 use datatrans_serve_net::server::{NetServer, NetServerConfig};
 use datatrans_stats::correlation::spearman;
-use datatrans_stats::rank::bootstrap_rank_confidence;
+use datatrans_stats::rank::{
+    bootstrap_rank_confidence, bootstrap_rank_confidence_ref, RankConfidence,
+};
+use datatrans_stats::Result as StatsResult;
 
 fn bench_predictors(c: &mut Criterion) {
     let db = bench_database();
@@ -697,6 +700,14 @@ fn bench_db_ingest(c: &mut Criterion) {
 /// model) at 200 resamples, sequential vs pool-fanned replicate loop.
 /// Both variants are bitwise-identical by the per-replicate derived-stream
 /// contract; the bench prices the fan-out.
+///
+/// The 1000-item pairs price the presorted-ranking and selection
+/// bootstrap against its full-sort reference on a scale-catalog-sized
+/// panel: distinct levels under the default σ = 0.015 noise (replicates
+/// stay nearly in point order), and equal levels under σ = 0.5 (every
+/// replicate a near-random permutation, the insertion sort's worst case,
+/// where its shift budget hands over to a full sort). CI's trajectory
+/// gate asserts the optimized version wins both pairs in the same run.
 fn bench_rank_ci(c: &mut Criterion) {
     let noise = NoiseConfig {
         seed: 7,
@@ -725,6 +736,48 @@ fn bench_rank_ci(c: &mut Criterion) {
             )
         })
     });
+    let panel = |sigma: f64, level: &dyn Fn(usize) -> f64| -> Vec<Vec<f64>> {
+        let noise = NoiseConfig {
+            seed: 7,
+            sigma,
+            repeats: 8,
+        };
+        (0..1000).map(|m| noise.measure(level(m), 0, m)).collect()
+    };
+    let distinct = panel(0.015, &|m| 100.0 + m as f64);
+    let equal = panel(0.5, &|_| 100.0);
+    type Bootstrap = fn(&[Vec<f64>], usize, f64, u64, Parallelism) -> StatsResult<RankConfidence>;
+    let variants: [(&str, &[Vec<f64>], Bootstrap); 4] = [
+        (
+            "bootstrap200_1000x8_seq",
+            &distinct,
+            bootstrap_rank_confidence,
+        ),
+        (
+            "ref200_1000x8_seq",
+            &distinct,
+            bootstrap_rank_confidence_ref,
+        ),
+        (
+            "bootstrap200_1000x8_sigma05_seq",
+            &equal,
+            bootstrap_rank_confidence,
+        ),
+        (
+            "ref200_1000x8_sigma05_seq",
+            &equal,
+            bootstrap_rank_confidence_ref,
+        ),
+    ];
+    for (name, samples, bootstrap) in variants {
+        group.bench_function(name, |bch| {
+            bch.iter(|| {
+                std::hint::black_box(
+                    bootstrap(samples, 200, 0.95, 42, Parallelism::Sequential).expect("rank ci"),
+                )
+            })
+        });
+    }
     group.finish();
 }
 

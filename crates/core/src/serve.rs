@@ -233,9 +233,11 @@ pub struct ConfidenceConfig {
     /// the SPEC run-to-run order of magnitude). `0` yields degenerate
     /// zero-width intervals: every machine is its own tie group.
     pub sigma: f64,
-    /// Synthetic measurements per machine, `>= 1` (default `8`).
+    /// Synthetic measurements per machine, in
+    /// `1..=`[`ConfidenceConfig::MAX_REPEATS`] (default `8`).
     pub repeats: usize,
-    /// Bootstrap replicates, `>= 1` (default `200`).
+    /// Bootstrap replicates, in
+    /// `1..=`[`ConfidenceConfig::MAX_RESAMPLES`] (default `200`).
     pub resamples: usize,
 }
 
@@ -251,6 +253,14 @@ impl Default for ConfidenceConfig {
 }
 
 impl ConfidenceConfig {
+    /// Largest accepted `repeats`. The annex's cost and memory grow with
+    /// `repeats × resamples × candidates`, and one request runs on one
+    /// serving thread, so a request that asks for more is refused rather
+    /// than allowed to pin that thread or abort on allocation.
+    pub const MAX_REPEATS: usize = 64;
+    /// Largest accepted `resamples` (see [`ConfidenceConfig::MAX_REPEATS`]).
+    pub const MAX_RESAMPLES: usize = 2000;
+
     /// Validates every parameter against its documented domain.
     ///
     /// # Errors
@@ -270,16 +280,16 @@ impl ConfidenceConfig {
                 value: self.sigma,
             });
         }
-        if self.repeats == 0 {
+        if !(1..=Self::MAX_REPEATS).contains(&self.repeats) {
             return Err(ServeError::InvalidConfidence {
                 name: "repeats",
-                value: 0.0,
+                value: self.repeats as f64,
             });
         }
-        if self.resamples == 0 {
+        if !(1..=Self::MAX_RESAMPLES).contains(&self.resamples) {
             return Err(ServeError::InvalidConfidence {
                 name: "resamples",
-                value: 0.0,
+                value: self.resamples as f64,
             });
         }
         Ok(())
@@ -309,7 +319,8 @@ pub struct ApproxConfig {
     /// `1..=n_benchmarks`. More components reconstruct more faithful
     /// centroid columns (better coarse ranking, higher recall).
     pub n_components: usize,
-    /// Buckets along the leading component, `>= 1`.
+    /// Buckets along the leading component, in
+    /// `1..=`[`ApproxConfig::MAX_BUCKETS`].
     pub n_buckets: usize,
     /// Best-scoring buckets whose members survive to exact evaluation,
     /// in `1..=n_buckets`.
@@ -317,6 +328,11 @@ pub struct ApproxConfig {
 }
 
 impl ApproxConfig {
+    /// Largest accepted `n_buckets`. The bucket index allocates one
+    /// bucket per requested bucket before it fills any, so an unbounded
+    /// count is refused rather than allowed to abort on allocation.
+    pub const MAX_BUCKETS: usize = 4096;
+
     /// Validates every parameter against its documented domain.
     ///
     /// # Errors
@@ -330,7 +346,7 @@ impl ApproxConfig {
                 value: self.n_components,
             });
         }
-        if self.n_buckets == 0 {
+        if !(1..=Self::MAX_BUCKETS).contains(&self.n_buckets) {
             return Err(ServeError::InvalidApprox {
                 name: "n_buckets",
                 value: self.n_buckets,
@@ -1238,6 +1254,20 @@ mod tests {
                 },
                 "resamples",
             ),
+            (
+                ConfidenceConfig {
+                    repeats: ConfidenceConfig::MAX_REPEATS + 1,
+                    ..ConfidenceConfig::default()
+                },
+                "repeats",
+            ),
+            (
+                ConfidenceConfig {
+                    resamples: 1 << 60,
+                    ..ConfidenceConfig::default()
+                },
+                "resamples",
+            ),
         ] {
             let request = RankRequest {
                 confidence: Some(confidence),
@@ -1593,6 +1623,13 @@ mod tests {
                     ..reference
                 },
                 "probe_buckets",
+            ),
+            (
+                ApproxConfig {
+                    n_buckets: ApproxConfig::MAX_BUCKETS + 1,
+                    ..reference
+                },
+                "n_buckets",
             ),
         ] {
             let request = RankRequest {

@@ -29,6 +29,20 @@
 //! GROUPS     := MEMBERS ("|" MEMBERS)*   ; MEMBERS := MACHINE ("," MACHINE)*
 //! ```
 //!
+//! Parameter domains, checked before any work is done; a value outside
+//! its domain parses but is answered with `err invalid-confidence` or
+//! `err invalid-approx`:
+//!
+//! ```text
+//! LEVEL      in (0, 1)
+//! SIGMA      in [0, 0.5]
+//! REPEATS    in 1..=64     ; ConfidenceConfig::MAX_REPEATS
+//! RESAMPLES  in 1..=2000   ; ConfidenceConfig::MAX_RESAMPLES
+//! COMPONENTS in 1..=benchmarks in the catalog
+//! BUCKETS    in 1..=4096   ; ApproxConfig::MAX_BUCKETS
+//! PROBES     in 1..=BUCKETS
+//! ```
+//!
 //! Attributes may appear in any order; duplicates and unknown keys are
 //! typed errors. Floats are written with Rust's shortest-round-trip
 //! `Display` formatting and parsed back bitwise-identically, so a

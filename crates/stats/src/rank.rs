@@ -228,6 +228,25 @@ pub fn tie_groups(scores: &[f64], lower: &[f64], upper: &[f64]) -> Result<TieRan
 /// result is bitwise-identical at any thread count, including
 /// [`Parallelism::Sequential`], and does not depend on evaluation order.
 ///
+/// # Cost
+///
+/// Beyond the `O(n · R · m)` draws (`n` items, `R` replicates, `m`
+/// measurements per item), the ordering work stays close to linear:
+///
+/// * each replicate is ranked by insertion sort from the point-score
+///   order, which the replicate nearly keeps when the noise is small next
+///   to the score gaps. Once the shifts exceed `2·⌈log₂ n⌉` per key
+///   inserted so far (at most `2·n·⌈log₂ n⌉` in all), as under heavy
+///   overlap or equal point scores, the replicate finishes with an
+///   `O(n log n)` sort, so no replicate costs more than `O(n log n)`;
+/// * each item's percentiles are two order-statistic selections over its
+///   replicate column instead of a full sort.
+///
+/// Neither shortcut can move a bit. Fractional ranks average over runs of
+/// equal values, which are contiguous in every descending order, and the
+/// `f64::total_cmp` order statistics of a column are unique, so the
+/// result is bitwise-identical to [`bootstrap_rank_confidence_ref`].
+///
 /// # Errors
 ///
 /// * [`StatsError::Empty`] if `samples` is empty, any item has no
@@ -242,28 +261,90 @@ pub fn bootstrap_rank_confidence(
     seed: u64,
     parallelism: Parallelism,
 ) -> Result<RankConfidence> {
-    if samples.is_empty() {
-        return Err(StatsError::Empty { what: "samples" });
-    }
-    for item in samples {
-        if item.is_empty() {
-            return Err(StatsError::Empty {
-                what: "item measurements",
-            });
-        }
-        if item.iter().any(|v| !v.is_finite()) {
-            return Err(StatsError::NonFinite);
-        }
-    }
-    if resamples == 0 {
-        return Err(StatsError::Empty { what: "resamples" });
-    }
-    if !(level > 0.0 && level < 1.0) {
-        return Err(StatsError::InvalidParameter {
-            name: "level",
-            value: level,
+    check_bootstrap_inputs(samples, resamples, level)?;
+    let n = samples.len();
+    let point_scores: Vec<f64> = samples.iter().map(|item| sample_mean(item)).collect();
+    let point_ranks = rank_descending(&point_scores)?;
+    let point_order = argsort_descending(&point_scores)?;
+    // One block of consecutive replicates per pool task. A sequential run
+    // is a single block, so its percentiles select in place, uncopied.
+    let width = if parallelism.thread_count() > 1 && resamples >= MIN_PARALLEL_RESAMPLES {
+        MIN_PARALLEL_RESAMPLES
+    } else {
+        resamples
+    };
+    let mut blocks = parallelism.par_map_indexed_with(
+        2,
+        resamples.div_ceil(width),
+        || (vec![0.0; n], vec![(0.0, 0); n]),
+        |(means, sorted), b| {
+            let replicates = b * width..resamples.min((b + 1) * width);
+            replicate_block(samples, seed, replicates, &point_order, means, sorted)
+        },
+    );
+    let kept: usize = blocks.iter().map(|block| block.kept).sum();
+    if kept == 0 {
+        return Err(StatsError::Empty {
+            what: "successful bootstrap resamples",
         });
     }
+    let alpha = (1.0 - level) / 2.0;
+    let lo_idx = ((kept as f64 - 1.0) * alpha).round() as usize;
+    let hi_idx = ((kept as f64 - 1.0) * (1.0 - alpha)).round() as usize;
+    // Rows 0..n are the items' score columns, rows n..2n their rank columns.
+    let mut column = Vec::new();
+    let bounds: Vec<(f64, f64)> = (0..2 * n)
+        .map(|row| {
+            let values = if blocks.len() == 1 {
+                blocks[0].row_mut(row)
+            } else {
+                column.clear();
+                for block in &mut blocks {
+                    column.extend_from_slice(block.row_mut(row));
+                }
+                &mut column[..]
+            };
+            percentile_pair(values, lo_idx, hi_idx)
+        })
+        .collect();
+    let items: Vec<ItemRankCi> = (0..n)
+        .map(|i| ItemRankCi {
+            score: point_scores[i],
+            score_lower: bounds[i].0,
+            score_upper: bounds[i].1,
+            rank: point_ranks[i],
+            rank_lower: bounds[n + i].0,
+            rank_upper: bounds[n + i].1,
+        })
+        .collect();
+    let lower: Vec<f64> = items.iter().map(|it| it.score_lower).collect();
+    let upper: Vec<f64> = items.iter().map(|it| it.score_upper).collect();
+    let ties = tie_groups(&point_scores, &lower, &upper)?;
+    Ok(RankConfidence {
+        items,
+        ties,
+        level,
+        resamples,
+    })
+}
+
+/// Reference implementation of [`bootstrap_rank_confidence`]: a stable
+/// full sort to rank every replicate and a full sort of every item's
+/// replicate column for its percentiles. Kept as the specification the
+/// optimized version is pinned against bit for bit (the property tests
+/// and the `rank_ci` bench pairs).
+///
+/// # Errors
+///
+/// Exactly those of [`bootstrap_rank_confidence`].
+pub fn bootstrap_rank_confidence_ref(
+    samples: &[Vec<f64>],
+    resamples: usize,
+    level: f64,
+    seed: u64,
+    parallelism: Parallelism,
+) -> Result<RankConfidence> {
+    check_bootstrap_inputs(samples, resamples, level)?;
     let n = samples.len();
     let point_scores: Vec<f64> = samples.iter().map(|item| sample_mean(item)).collect();
     let point_ranks = rank_descending(&point_scores)?;
@@ -276,12 +357,7 @@ pub fn bootstrap_rank_confidence(
         parallelism.par_map_indexed(MIN_PARALLEL_RESAMPLES, resamples, |r| {
             let mut means = vec![0.0; n];
             for (i, item) in samples.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(item_replicate_seed(seed, r, i));
-                let mut sum = 0.0;
-                for _ in 0..item.len() {
-                    sum += item[rng.gen_range(0..item.len())];
-                }
-                means[i] = sum / item.len() as f64;
+                means[i] = resample_mean(item, seed, r, i);
             }
             let ranks = rank_descending(&means).ok()?;
             Some((means, ranks))
@@ -325,6 +401,169 @@ pub fn bootstrap_rank_confidence(
         level,
         resamples,
     })
+}
+
+/// Validates the inputs shared by both bootstrap implementations.
+fn check_bootstrap_inputs(samples: &[Vec<f64>], resamples: usize, level: f64) -> Result<()> {
+    if samples.is_empty() {
+        return Err(StatsError::Empty { what: "samples" });
+    }
+    for item in samples {
+        if item.is_empty() {
+            return Err(StatsError::Empty {
+                what: "item measurements",
+            });
+        }
+        if item.iter().any(|v| !v.is_finite()) {
+            return Err(StatsError::NonFinite);
+        }
+    }
+    if resamples == 0 {
+        return Err(StatsError::Empty { what: "resamples" });
+    }
+    if !(level > 0.0 && level < 1.0) {
+        return Err(StatsError::InvalidParameter {
+            name: "level",
+            value: level,
+        });
+    }
+    Ok(())
+}
+
+/// The surviving replicates of one run of consecutive replicates, stored
+/// item-major: row `i < n` holds item `i`'s resampled means and row
+/// `n + i` its ranks, one column per surviving replicate (the first
+/// `kept` of `width` columns).
+struct ReplicateBlock {
+    width: usize,
+    kept: usize,
+    values: Vec<f64>,
+}
+
+impl ReplicateBlock {
+    /// The surviving values of one row.
+    fn row_mut(&mut self, row: usize) -> &mut [f64] {
+        &mut self.values[row * self.width..][..self.kept]
+    }
+}
+
+/// Draws and ranks `replicates` into one block; `means` and `sorted` are
+/// per-worker scratch of length `n`.
+fn replicate_block(
+    samples: &[Vec<f64>],
+    seed: u64,
+    replicates: std::ops::Range<usize>,
+    point_order: &[usize],
+    means: &mut [f64],
+    sorted: &mut [(f64, usize)],
+) -> ReplicateBlock {
+    let n = samples.len();
+    let width = replicates.len();
+    let mut block = ReplicateBlock {
+        width,
+        kept: 0,
+        values: vec![0.0; 2 * n * width],
+    };
+    let shifts_per_key = 2 * n.next_power_of_two().trailing_zeros() as usize;
+    for r in replicates {
+        for (i, (mean, item)) in means.iter_mut().zip(samples).enumerate() {
+            *mean = resample_mean(item, seed, r, i);
+        }
+        // A replicate whose means degenerate to non-finite values
+        // (overflow) is skipped, exactly like `bootstrap_ci`.
+        if means.iter().any(|v| !v.is_finite()) {
+            continue;
+        }
+        let col = block.kept;
+        block.kept += 1;
+        for (slot, &item) in sorted.iter_mut().zip(point_order) {
+            *slot = (means[item], item);
+        }
+        sort_descending_from(sorted, shifts_per_key);
+        let (mean_rows, rank_rows) = block.values.split_at_mut(n * width);
+        for (i, &mean) in means.iter().enumerate() {
+            mean_rows[i * width + col] = mean;
+        }
+        assign_fractional_ranks(sorted, |item, rank| {
+            rank_rows[item * width + col] = rank;
+        });
+    }
+    block
+}
+
+/// Replicate `r`'s resampled mean of `item` (item `i`): `item.len()`
+/// draws with replacement from the `(seed, r, i)` stream, summed in draw
+/// order.
+fn resample_mean(item: &[f64], seed: u64, r: usize, i: usize) -> f64 {
+    let mut rng = StdRng::seed_from_u64(item_replicate_seed(seed, r, i));
+    let mut sum = 0.0;
+    for _ in 0..item.len() {
+        sum += item[rng.gen_range(0..item.len())];
+    }
+    sum / item.len() as f64
+}
+
+/// Sorts finite `(value, item)` pairs descending by value. Insertion
+/// sort, cheap when the pairs are nearly sorted already; once the shifts
+/// exceed `shifts_per_key` per key inserted so far, the rest is left to
+/// an `O(n log n)` sort. The pro-rata budget caps the total at
+/// `shifts_per_key · n`, and a near-random order (about `j²/4` shifts
+/// after `j` keys) exhausts it after about `4 · shifts_per_key` keys.
+/// The order within runs of equal values is unspecified.
+fn sort_descending_from(sorted: &mut [(f64, usize)], shifts_per_key: usize) {
+    let mut shifts = 0;
+    for j in 1..sorted.len() {
+        let key = sorted[j];
+        let mut k = j;
+        while k > 0 && sorted[k - 1].0 < key.0 {
+            sorted[k] = sorted[k - 1];
+            k -= 1;
+        }
+        sorted[k] = key;
+        shifts += j - k;
+        if shifts > shifts_per_key * j {
+            sorted.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+            return;
+        }
+    }
+}
+
+/// Calls `assign(item, rank)` with every item's fractional rank, given
+/// the `(value, item)` pairs sorted by value (rank 1 first). Each run of
+/// equal values gets the average of the 1-based positions it spans, so
+/// the ranks do not depend on the order within a run. The same rule as
+/// `ranks_impl`, which the reference bootstrap ranks through and which
+/// therefore keeps its own index sort.
+fn assign_fractional_ranks(sorted: &[(f64, usize)], mut assign: impl FnMut(usize, f64)) {
+    let n = sorted.len();
+    let mut i = 0;
+    while i < n {
+        // Find the tie group [i, j).
+        let mut j = i + 1;
+        while j < n && sorted[j].0 == sorted[i].0 {
+            j += 1;
+        }
+        // Average rank for the group; ranks are 1-based.
+        let avg = (i + 1 + j) as f64 / 2.0;
+        for &(_, item) in &sorted[i..j] {
+            assign(item, avg);
+        }
+        i = j;
+    }
+}
+
+/// The `lo`-th and `hi`-th smallest values (`lo <= hi`) of `column` under
+/// `f64::total_cmp`, found by selection. `total_cmp` is a total order, so
+/// these are exactly the values a full sort puts at `lo` and `hi`.
+/// Reorders `column`.
+fn percentile_pair(column: &mut [f64], lo: usize, hi: usize) -> (f64, f64) {
+    let (_, &mut lower, above) = column.select_nth_unstable_by(lo, f64::total_cmp);
+    let upper = if hi == lo {
+        lower
+    } else {
+        *above.select_nth_unstable_by(hi - lo - 1, f64::total_cmp).1
+    };
+    (lower, upper)
 }
 
 /// Mean of a non-empty slice, accumulated in index order so the result is

@@ -4,11 +4,15 @@
 //! `datatrans-rng` generator (seeded per test), so failures are always
 //! reproducible.
 
+use datatrans_parallel::Parallelism;
 use datatrans_rng::rngs::StdRng;
 use datatrans_rng::{Rng, SeedableRng};
 use datatrans_stats::correlation::{kendall, pearson, r_squared, spearman};
 use datatrans_stats::error_metrics::{top1_error_pct, topn_error_pct};
-use datatrans_stats::rank::{argsort_descending, rank_ascending, rank_descending};
+use datatrans_stats::rank::{
+    argsort_descending, bootstrap_rank_confidence, bootstrap_rank_confidence_ref, rank_ascending,
+    rank_descending, RankConfidence,
+};
 use datatrans_stats::summary::{geometric_mean, harmonic_mean, mean};
 
 const CASES: usize = 128;
@@ -172,5 +176,114 @@ fn topn_error_monotone_in_n() {
             last = e;
         }
         assert_eq!(topn_error_pct(&pred, &actual, 7).unwrap(), 0.0);
+    }
+}
+
+/// Asserts two rank-confidence results are bitwise-identical: every float
+/// compared by its bits, tie groups and errors exactly.
+fn assert_same_rank_confidence(
+    fast: &datatrans_stats::Result<RankConfidence>,
+    reference: &datatrans_stats::Result<RankConfidence>,
+    case: &str,
+) {
+    let (fast, reference) = match (fast, reference) {
+        (Ok(fast), Ok(reference)) => (fast, reference),
+        (fast, reference) => {
+            assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{case}");
+            return;
+        }
+    };
+    let bits = |rc: &RankConfidence| -> Vec<[u64; 6]> {
+        rc.items
+            .iter()
+            .map(|it| {
+                [
+                    it.score.to_bits(),
+                    it.score_lower.to_bits(),
+                    it.score_upper.to_bits(),
+                    it.rank.to_bits(),
+                    it.rank_lower.to_bits(),
+                    it.rank_upper.to_bits(),
+                ]
+            })
+            .collect()
+    };
+    assert_eq!(bits(fast), bits(reference), "{case}: intervals");
+    assert_eq!(fast.ties, reference.ties, "{case}: tie groups");
+    assert_eq!(
+        (fast.level.to_bits(), fast.resamples),
+        (reference.level.to_bits(), reference.resamples),
+        "{case}"
+    );
+}
+
+/// A seeded panel of `n` items × `m` measurements of one of several
+/// shapes: well-separated levels under small noise, equal point levels
+/// under heavy noise (every replicate a near-random permutation),
+/// quantized measurements (exact ties inside replicates), duplicated
+/// constant items (ties in every replicate), and one measurement per item
+/// near `f64::MAX`: the point means stay finite, but a replicate that
+/// draws it twice overflows and is skipped.
+fn rank_panel(rng: &mut StdRng, shape: usize, n: usize, m: usize) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|i| match shape {
+            0 => {
+                let level = 100.0 + i as f64;
+                (0..m)
+                    .map(|_| level * (1.0 + 0.015 * rng.gen_range(-1.0..1.0)))
+                    .collect()
+            }
+            1 => (0..m)
+                .map(|_| 50.0 * (1.0 + 0.5 * rng.gen_range(-1.0..1.0)))
+                .collect(),
+            2 => (0..m).map(|_| rng.gen_range(0..4usize) as f64).collect(),
+            3 => vec![(i % 3) as f64; m],
+            _ => {
+                let huge = rng.gen_range(0..m);
+                (0..m)
+                    .map(|r| {
+                        if r == huge {
+                            0.75 * f64::MAX
+                        } else {
+                            rng.gen_range(0.0..1.0)
+                        }
+                    })
+                    .collect()
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn rank_confidence_matches_reference_bitwise() {
+    let mut rng = StdRng::seed_from_u64(0xB7);
+    let sizes = [1, 2, 3, 7, 20, 64, 300];
+    let levels = [0.5, 0.9, 0.95, 0.99];
+    // Every (shape, size) pair twice, so the large equal-level panels
+    // that exhaust the insertion-sort budget are always exercised.
+    for case in 0..2 * 5 * sizes.len() {
+        let shape = case % 5;
+        let n = sizes[(case / 5) % sizes.len()];
+        let m = rng.gen_range(1..9usize);
+        let resamples = [1, 2, 5, 31, 33, 64, 100][rng.gen_range(0..7usize)];
+        let level = if rng.gen_bool(0.25) {
+            rng.gen_range(0.01..0.999)
+        } else {
+            levels[rng.gen_range(0..levels.len())]
+        };
+        let seed = rng.gen_range(0..u64::MAX);
+        let samples = rank_panel(&mut rng, shape, n, m);
+        let label = format!("case {case}: shape {shape}, {n}x{m}, R={resamples}, level={level}");
+        let reference = bootstrap_rank_confidence_ref(
+            &samples,
+            resamples,
+            level,
+            seed,
+            Parallelism::Sequential,
+        );
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
+            let fast = bootstrap_rank_confidence(&samples, resamples, level, seed, parallelism);
+            assert_same_rank_confidence(&fast, &reference, &format!("{label}, {parallelism:?}"));
+        }
     }
 }

@@ -80,9 +80,13 @@ fn request_mix(db: &dyn DatabaseView) -> Vec<RankRequest> {
 }
 
 /// Sends `lines` pipelined over one connection and returns one response
-/// line per request line.
+/// line per request line. A server that stops answering fails the test
+/// after a generous read timeout instead of hanging it.
 fn exchange(server: &NetServer, lines: &[String]) -> Vec<String> {
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(120)))
+        .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     for line in lines {
         stream.write_all(line.as_bytes()).unwrap();
@@ -318,6 +322,52 @@ fn fuzzed_lines_each_get_one_typed_line_and_never_kill_the_connection() {
     drop((reader, stream));
     let stats = server.join();
     assert!(stats.protocol_errors > 0, "fuzz corpus hit no parse errors");
+}
+
+#[test]
+fn oversized_annex_counts_get_typed_errors_and_the_server_keeps_serving() {
+    let db = dense_db();
+    let config = quick_net_config(Parallelism::Auto);
+    let serve_config = config.serve.clone();
+    let server = NetServer::spawn(Arc::clone(&db), "127.0.0.1:0", config).unwrap();
+    let request = request_mix(&*db).remove(0);
+    assert!(request.confidence.is_none() && request.approx.is_none());
+    let valid = write_request(&request);
+    let expected = render_result(
+        &serve_batch(&*db, std::slice::from_ref(&request), &serve_config)
+            .pop()
+            .unwrap(),
+    );
+    // Both lines parse; served unchecked, the first asks for 2^60
+    // measurements per machine and the second for 2^60 buckets, and
+    // either allocation aborts the serving thread.
+    let oversized = [
+        format!("{valid} confidence=0.95,0.015,1152921504606846976,10"),
+        format!("{valid} approx=2,1152921504606846976,1"),
+    ];
+    for line in &oversized {
+        assert!(parse_line(line.as_bytes()).is_ok(), "{line}");
+    }
+    let mut lines = oversized.to_vec();
+    lines.push(valid.clone());
+    let responses = exchange(&server, &lines);
+    assert!(
+        responses[0].starts_with("err invalid-confidence "),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[1].starts_with("err invalid-approx "),
+        "{}",
+        responses[1]
+    );
+    assert_eq!(responses[2], expected, "same connection stopped serving");
+    assert_eq!(
+        exchange(&server, &[valid]),
+        [expected],
+        "fresh connection not served"
+    );
+    server.join();
 }
 
 #[test]
