@@ -639,7 +639,7 @@ fn run_batcher(
 mod tests {
     use super::*;
     use crate::protocol::write_request;
-    use datatrans_core::serve::{serve_batch, AppOfInterest, ModelKind, RankResponse};
+    use datatrans_core::serve::{serve_batch, serve_one, AppOfInterest, ModelKind, RankResponse};
     use datatrans_dataset::generator::{generate, DatasetConfig};
     use datatrans_dataset::query::MachineFilter;
     use std::io::BufRead;
@@ -801,20 +801,27 @@ mod tests {
         let db = test_db();
         let mut config = NetServerConfig::quick();
         config.window = Duration::from_millis(100); // generous window
-        let server = NetServer::spawn(db, "127.0.0.1:0", config).unwrap();
+        let serve_config = config.serve.clone();
+        let server = NetServer::spawn(Arc::clone(&db), "127.0.0.1:0", config).unwrap();
         let addr = server.local_addr();
         let n = 4;
         let mut clients = Vec::new();
         for seed in 0..n {
+            let db = Arc::clone(&db);
+            let serve_config = serve_config.clone();
             clients.push(thread::spawn(move || {
+                let request = sample_request(seed);
                 let mut stream = TcpStream::connect(addr).unwrap();
                 let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-                let line = write_request(&sample_request(seed));
+                let line = write_request(&request);
                 stream.write_all(line.as_bytes()).unwrap();
                 stream.write_all(b"\n").unwrap();
                 let mut response = String::new();
                 reader.read_line(&mut response).unwrap();
-                assert!(response.starts_with("ok "), "got: {response}");
+                // Coalescing several connections into one pass must not
+                // move any connection's bytes off its own request's answer.
+                let expected = render_result(&serve_one(&*db, &request, &serve_config));
+                assert_eq!(response.trim_end(), expected, "client {seed}");
             }));
         }
         for client in clients {
