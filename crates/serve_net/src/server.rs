@@ -39,6 +39,7 @@
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
@@ -46,7 +47,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use datatrans_core::cache::ResultCache;
-use datatrans_core::serve::{serve_batch_cached, RankRequest, ServeConfig, ServeError};
+use datatrans_core::serve::{
+    serve_batch_cached, CachedBatch, RankRequest, ServeConfig, ServeError,
+};
 use datatrans_dataset::view::DatabaseView;
 
 use crate::protocol::{parse_line, render_result, write_serve_error, Command, ProtocolError};
@@ -587,7 +590,26 @@ fn run_batcher(
         }
         let mut rendered: Vec<Option<String>> = (0..items.len()).map(|_| None).collect();
         if !requests.is_empty() {
-            let batch = serve_batch_cached(&*db, &requests, &config.serve, &mut cache);
+            // A panic in the serving pass (the pool re-raises a worker's
+            // panic here) costs this window its answers, not the server:
+            // a dead batcher would leave every connection waiting forever.
+            let batch = panic::catch_unwind(AssertUnwindSafe(|| {
+                serve_batch_cached(&*db, &requests, &config.serve, &mut cache)
+            }))
+            .unwrap_or_else(|_| {
+                // The unwind may have left the cache mid-update; start
+                // over with an empty one rather than serve from it.
+                cache = ResultCache::new(config.cache_capacity);
+                let panicked = ServeError::Invariant {
+                    what: "serve pass panicked",
+                };
+                CachedBatch {
+                    responses: vec![Err(panicked); requests.len()],
+                    hits: 0,
+                    misses: 0,
+                    invalidations: 0,
+                }
+            });
             stats.batches.fetch_add(1, Ordering::Relaxed);
             stats
                 .requests

@@ -12,7 +12,9 @@
 //!   typed line back per line sent, and a valid request afterwards still
 //!   serves byte-identically;
 //! * per-connection backpressure and graceful drain preserve ordering
-//!   and completeness under pipelining.
+//!   and completeness under pipelining;
+//! * a panic inside a serving pass answers that window with typed
+//!   `err invariant` lines and the server keeps serving.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -21,10 +23,14 @@ use std::sync::Arc;
 use datatrans::core::serve::{
     serve_batch, AppOfInterest, ApproxConfig, ConfidenceConfig, ModelKind, RankRequest, ServeConfig,
 };
+use datatrans::dataset::benchmark::Benchmark;
+use datatrans::dataset::database::PerfDatabase;
 use datatrans::dataset::generator::{generate, DatasetConfig};
-use datatrans::dataset::query::MachineFilter;
+use datatrans::dataset::machine::Machine;
+use datatrans::dataset::query::{MachineFilter, QueryPlan};
 use datatrans::dataset::view::DatabaseView;
 use datatrans::experiments::serve::synth_requests;
+use datatrans::linalg::{Matrix, VecView};
 use datatrans::parallel::Parallelism;
 use datatrans::serve_net::{parse_line, render_result, write_request, NetServer, NetServerConfig};
 use datatrans_rng::rngs::StdRng;
@@ -79,15 +85,21 @@ fn request_mix(db: &dyn DatabaseView) -> Vec<RankRequest> {
     requests
 }
 
-/// Sends `lines` pipelined over one connection and returns one response
-/// line per request line. A server that stops answering fails the test
-/// after a generous read timeout instead of hanging it.
-fn exchange(server: &NetServer, lines: &[String]) -> Vec<String> {
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+/// Opens a client connection whose reads fail after a generous timeout,
+/// so a server that stops answering fails the test instead of hanging it.
+fn connect(server: &NetServer) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(120)))
         .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+/// Sends `lines` pipelined over one connection and returns one response
+/// line per request line.
+fn exchange(server: &NetServer, lines: &[String]) -> Vec<String> {
+    let (mut stream, mut reader) = connect(server);
     for line in lines {
         stream.write_all(line.as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
@@ -413,4 +425,86 @@ fn backpressure_pipelining_preserves_order_and_drain_flushes_everything() {
     );
     drop((reader, stream));
     server.join();
+}
+
+/// The year that marks a poisoned restriction for [`PanicOnPlan`].
+const POISON_YEAR: u16 = 1901;
+
+/// The paper catalog, except that planning a restriction whose lower year
+/// bound is [`POISON_YEAR`] panics: a stand-in for any bug that unwinds
+/// out of a serving pass.
+struct PanicOnPlan(PerfDatabase);
+
+impl DatabaseView for PanicOnPlan {
+    fn n_benchmarks(&self) -> usize {
+        self.0.n_benchmarks()
+    }
+    fn n_machines(&self) -> usize {
+        self.0.n_machines()
+    }
+    fn benchmarks(&self) -> &[Benchmark] {
+        self.0.benchmarks()
+    }
+    fn machines(&self) -> &[Machine] {
+        self.0.machines()
+    }
+    fn score(&self, b: usize, m: usize) -> f64 {
+        self.0.score(b, m)
+    }
+    fn machine_column(&self, m: usize) -> VecView<'_> {
+        self.0.machine_column(m)
+    }
+    fn gather(&self, benchmarks: &[usize], machines: &[usize]) -> Matrix {
+        self.0.gather(benchmarks, machines)
+    }
+    fn catalog_version(&self) -> u64 {
+        self.0.catalog_version()
+    }
+    fn plan_machines(&self, filter: &MachineFilter) -> QueryPlan {
+        assert_ne!(filter.year_min, Some(POISON_YEAR), "poisoned restriction");
+        self.0.plan_machines(filter)
+    }
+}
+
+#[test]
+fn panicking_serve_pass_answers_invariant_and_the_server_keeps_serving() {
+    let db = generate(&DatasetConfig::default()).unwrap();
+    let config = quick_net_config(Parallelism::Auto);
+    let request = request_mix(&db).remove(0);
+    let valid = write_request(&request);
+    let expected = render_result(
+        &serve_batch(&db, std::slice::from_ref(&request), &config.serve)
+            .pop()
+            .unwrap(),
+    );
+    let mut poisoned = request.clone();
+    poisoned.restrict.year_min = Some(POISON_YEAR);
+    let poisoned = write_request(&poisoned);
+
+    let server = NetServer::spawn(Arc::new(PanicOnPlan(db)), "127.0.0.1:0", config).unwrap();
+    let (mut stream, mut reader) = connect(&server);
+    // One line at a time, so the valid request cannot share the poisoned
+    // request's window.
+    let mut responses = Vec::new();
+    for line in [&poisoned, &valid] {
+        stream.write_all(line.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut response = String::new();
+        assert!(reader.read_line(&mut response).unwrap() > 0);
+        responses.push(response.trim_end().to_owned());
+    }
+    assert!(
+        responses[0].starts_with("err invariant "),
+        "{}",
+        responses[0]
+    );
+    assert_eq!(responses[1], expected, "same connection stopped serving");
+    assert_eq!(
+        exchange(&server, &[valid]),
+        [expected],
+        "fresh connection not served"
+    );
+    drop((reader, stream));
+    let stats = server.join();
+    assert_eq!(stats.requests, 3);
 }
