@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [--quick] [--seed N] [--shards N] [--ingest] [table2|table3|table4|fig6|fig7|fig8|ablation|serve|net-serve|robustness|approx|diag|all]
+//! repro [--quick] [--seed N] [--shards N] [--ingest] [table2|table3|table4|fig6|fig7|fig8|ablation|serve|robustness|approx|diag|all]
 //! ```
 
 use std::env;
@@ -9,12 +9,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use datatrans_experiments::{
-    ablation, approx, fig6, fig7, fig8, net_serve, robustness, serve, table2, table3, table4,
-    ExperimentConfig,
+    ablation, approx, fig6, fig7, fig8, robustness, serve, table2, table3, table4, ExperimentConfig,
 };
 
 fn usage() -> &'static str {
-    "usage: repro [--quick] [--seed N] [--shards N] [--ingest] [table2|table3|table4|fig6|fig7|fig8|ablation|serve|net-serve|robustness|approx|diag|all]\n\
+    "usage: repro [--quick] [--seed N] [--shards N] [--ingest] [table2|table3|table4|fig6|fig7|fig8|ablation|serve|robustness|approx|diag|all]\n\
      \n\
      --quick     reduced budgets (fewer apps/trials/epochs) for a fast pass\n\
      --seed N    dataset + experiment seed (default: paper-run seed)\n\
@@ -26,9 +25,6 @@ fn usage() -> &'static str {
      \n\
      serve       drive the batched ranking-query engine under a synthetic\n\
                  request mix (combine with --shards N to see block pruning)\n\
-     net-serve   drive the same request mix through the TCP front end over\n\
-                 loopback: verifies every wire response byte-identical to\n\
-                 in-process serving and reports end-to-end p50/p99 latency\n\
      robustness  sweep measurement noise over the catalog and report each\n\
                  model's rank-correlation-vs-noise curve (every block\n\
                  layout verified bitwise-identical)\n\
@@ -88,7 +84,6 @@ fn main() -> ExitCode {
             "fig8" => fig8::run(&config).map(|r| println!("{r}")),
             "ablation" => ablation::run(&config).map(|r| println!("{r}")),
             "serve" => serve::run(&config).map(|r| println!("{r}")),
-            "net-serve" => net_serve::run(&config).map(|r| println!("{r}")),
             "robustness" => robustness::run(&config).map(|r| println!("{r}")),
             "approx" => approx::run(&config).map(|r| println!("{r}")),
             "diag" => diagnose(&config),

@@ -54,17 +54,6 @@ pub struct ExperimentConfig {
     /// reporting the cache's hit/miss/invalidation counts across all three
     /// phases.
     pub serve_ingest: bool,
-    /// Concurrent client connections opened by the `repro net-serve`
-    /// loopback load driver.
-    pub net_connections: usize,
-    /// Batching-window length of the network front end, in milliseconds
-    /// (how long the batcher waits for more requests after the first one).
-    pub net_window_ms: u64,
-    /// Most requests the network front end coalesces into one pool pass.
-    pub net_max_batch: usize,
-    /// Per-connection in-flight response budget of the network front end
-    /// (backpressure: the reader stops pulling requests past this).
-    pub net_max_inflight: usize,
 }
 
 impl Default for ExperimentConfig {
@@ -82,10 +71,6 @@ impl Default for ExperimentConfig {
             serve_requests: 48,
             serve_top_k: 5,
             serve_ingest: false,
-            net_connections: 4,
-            net_window_ms: 2,
-            net_max_batch: 32,
-            net_max_inflight: 64,
         }
     }
 }

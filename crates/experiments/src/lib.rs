@@ -10,23 +10,20 @@
 //! | [`table4`] | Table 4 — limited predictive sets (10/5/3) |
 //! | [`fig8`]   | Figure 8 — k-medoids vs random predictive selection |
 //!
-//! Beyond the paper, [`ablation`] sweeps the design choices DESIGN.md
-//! calls out (MLP width/epochs/domain, NNᵀ selection criterion, GA-kNN k),
-//! [`serve`] drives the concurrent ranking-query engine (block-pruned
-//! planning + batched prediction) under a synthetic request mix,
-//! [`net_serve`] drives the same mix through the TCP front end over
-//! loopback (verifying wire responses byte-identical to in-process
-//! serving and reporting p50/p99 latency), and [`robustness`] sweeps
-//! measurement noise over the catalog to produce perturbation-robustness
-//! curves (rank correlation of each model's served ranking vs noise
-//! level, on every block layout), and [`approx`] sweeps the PCA-bucketed
-//! approximate serving frontier (recall@top-k, Spearman ρ vs exact, and
-//! speedup per `(n_components, probe_buckets)` operating point).
+//! Beyond the paper, [`ablation`] sweeps the model design choices (MLP
+//! width/epochs/domain, NNᵀ selection criterion, GA-kNN k), [`serve`]
+//! drives the concurrent ranking-query engine (block-pruned planning +
+//! batched prediction) under a synthetic request mix, [`robustness`]
+//! sweeps measurement noise over the catalog to produce
+//! perturbation-robustness curves (rank correlation of each model's
+//! served ranking vs noise level, on every block layout), and [`approx`]
+//! sweeps the PCA-bucketed approximate serving frontier (recall@top-k,
+//! Spearman ρ vs exact, and speedup per `(n_components, probe_buckets)`
+//! operating point).
 //!
 //! Each module exposes `run(&ExperimentConfig) -> Result<...Result>` whose
 //! output implements `Display`, printing rows in the paper's format. The
-//! `repro` binary drives them all; `datatrans-bench` wraps each in a
-//! Criterion bench.
+//! `repro` binary drives them all and prints each one's wall time.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -37,7 +34,6 @@ pub mod config;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod net_serve;
 pub mod robustness;
 pub mod serve;
 pub mod table2;
