@@ -1,5 +1,5 @@
-//! Timing ablation: how model runtime scales with the hyper-parameters
-//! DESIGN.md calls out. Accuracy ablation lives in `repro -- ablation`.
+//! Timing ablation: how model runtime scales with the MLPᵀ, NNᵀ and
+//! GA-kNN hyper-parameters. Accuracy ablation lives in `repro -- ablation`.
 
 use datatrans_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datatrans_bench::{bench_database, bench_task};

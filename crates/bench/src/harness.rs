@@ -614,7 +614,7 @@ mod tests {
     fn cargo_hash_stripping() {
         assert_eq!(strip_cargo_hash("micro-0123456789abcdef"), "micro");
         assert_eq!(strip_cargo_hash("micro"), "micro");
-        assert_eq!(strip_cargo_hash("fig6_fig7-00ffCC1122334455"), "fig6_fig7");
+        assert_eq!(strip_cargo_hash("ablation-00ffCC1122334455"), "ablation");
         // Not a 16-hex suffix: left alone.
         assert_eq!(strip_cargo_hash("some-bench"), "some-bench");
     }

@@ -1,10 +1,9 @@
 //! Shared fixtures for the Criterion benchmark harness.
 //!
-//! Each paper table/figure has a dedicated bench that runs its experiment
-//! driver at a reduced budget (Criterion needs many iterations; the
-//! full-budget numbers are produced by `repro`). `micro` benches the
-//! numerical kernels, `ablation` times the design-choice variants called
-//! out in DESIGN.md.
+//! `micro` benches the numerical kernels and the serving layers;
+//! `ablation` times the model hyper-parameter variants. The paper's
+//! tables and figures are timed by `repro`, which prints each target's
+//! wall time.
 
 pub mod harness;
 
@@ -12,7 +11,6 @@ use datatrans_core::task::PredictionTask;
 use datatrans_dataset::database::PerfDatabase;
 use datatrans_dataset::generator::{generate, generate_scaled, DatasetConfig, ScaleConfig};
 use datatrans_dataset::machine::ProcessorFamily;
-use datatrans_experiments::ExperimentConfig;
 
 /// The standard benchmark database (default seed).
 pub fn bench_database() -> PerfDatabase {
@@ -41,13 +39,6 @@ pub fn bench_task(db: &PerfDatabase) -> PredictionTask {
     PredictionTask::leave_one_out(db, app, &predictive, &targets, 42).expect("valid bench task")
 }
 
-/// Reduced-budget experiment configuration for bench iterations.
-pub fn bench_config() -> ExperimentConfig {
-    let mut config = ExperimentConfig::quick();
-    config.max_apps = Some(2);
-    config
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,7 +49,6 @@ mod tests {
         let task = bench_task(&db);
         assert_eq!(task.n_targets(), 39);
         assert_eq!(task.n_benchmarks(), 28);
-        assert_eq!(bench_config().max_apps, Some(2));
     }
 
     #[test]

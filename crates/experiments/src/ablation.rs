@@ -1,4 +1,4 @@
-//! Ablation study over the design choices DESIGN.md calls out.
+//! Ablation study over the methods' own hyper-parameters and domains.
 //!
 //! Not part of the paper's evaluation; this quantifies how sensitive each
 //! method is to its own hyper-parameters on one representative fold
