@@ -2,11 +2,10 @@
 //!
 //! This crate provides the small, dependency-free numerical kernel that the
 //! rest of the workspace builds on: a row-major dense [`Matrix`], slice-based
-//! vector operations in [`vecops`], and the decompositions needed by the
-//! higher layers (QR for least squares, Cholesky for symmetric
-//! positive-definite systems, LU with partial pivoting for general square
-//! systems, and a cyclic Jacobi eigensolver for symmetric matrices, used by
-//! PCA).
+//! vector operations in [`vecops`], and the two decompositions the higher
+//! layers call: Householder QR for the least-squares fits of NNᵀ's
+//! regressions, and a cyclic Jacobi eigensolver for symmetric matrices,
+//! used by PCA.
 //!
 //! # Example
 //!

@@ -12,7 +12,7 @@
 //!
 //! This facade crate re-exports the workspace layers:
 //!
-//! * [`linalg`] — dense matrices, QR/Cholesky/LU/eigen decompositions.
+//! * [`linalg`] — dense matrices, QR least squares, symmetric eigensolver.
 //! * [`parallel`] — the deterministic scoped worker-pool executor
 //!   (`Parallelism`, `par_map`) behind every fan-out; results are
 //!   bitwise-identical at any thread count.
