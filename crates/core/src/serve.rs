@@ -511,7 +511,7 @@ impl ServeConfig {
     }
 
     /// Builds the predictor for `kind` at this configuration's budgets.
-    fn build_model(&self, kind: ModelKind) -> Box<dyn Predictor + Send + Sync> {
+    pub fn build_model(&self, kind: ModelKind) -> Box<dyn Predictor + Send + Sync> {
         match kind {
             ModelKind::NnT => Box::new(NnT::default()),
             ModelKind::MlpT => Box::new(MlpT {
@@ -526,6 +526,9 @@ impl ServeConfig {
                     ga: GaConfig {
                         population: self.ga_population,
                         generations: self.ga_generations,
+                        // The caller's fan-out (batch slots, or folds ×
+                        // apps) owns the cores; a nested per-generation
+                        // fan-out would only oversubscribe them.
                         parallelism: Parallelism::Sequential,
                         ..GaConfig::default_seeded(0)
                     },

@@ -1,11 +1,10 @@
 //! Shared experiment configuration.
 
-use datatrans_core::model::{GaKnn, GaKnnConfig, MlpT, NnT, Predictor};
+use datatrans_core::model::Predictor;
+use datatrans_core::serve::{ModelKind, ServeConfig};
 use datatrans_dataset::database::PerfDatabase;
 use datatrans_dataset::generator::{generate, DatasetConfig};
 use datatrans_dataset::view::DatabaseView;
-use datatrans_ml::ga::GaConfig;
-use datatrans_ml::mlp::MlpConfig;
 use datatrans_parallel::Parallelism;
 
 use crate::Result;
@@ -88,42 +87,24 @@ impl ExperimentConfig {
         }
     }
 
-    /// The paper's three methods with this configuration's budgets.
+    /// The paper's three methods with this configuration's budgets, built
+    /// exactly as the serving engine builds them.
     pub fn methods(&self) -> Vec<Box<dyn Predictor + Send + Sync>> {
-        let mlp_config = MlpConfig {
-            epochs: self.mlp_epochs,
-            ..MlpConfig::weka_default(0)
-        };
-        let ga = GaConfig {
-            population: self.ga_population,
-            generations: self.ga_generations,
-            // The harness-level (fold × app) fan-out owns the cores; a
-            // nested per-generation fan-out would only oversubscribe them.
-            parallelism: Parallelism::Sequential,
-            ..GaConfig::default_seeded(0)
-        };
-        vec![
-            Box::new(NnT::default()),
-            Box::new(MlpT {
-                config: mlp_config,
-                log_domain: true,
-                ..MlpT::default()
-            }),
-            Box::new(GaKnn {
-                config: GaKnnConfig {
-                    ga,
-                    ..GaKnnConfig::default()
-                },
-            }),
-        ]
+        let serve = self.serve_config();
+        ModelKind::ALL
+            .into_iter()
+            .map(|kind| serve.build_model(kind))
+            .collect()
     }
 
     /// The two data-transposition methods only (Table 4 evaluates NNᵀ and
     /// MLPᵀ; GA-kNN does not use predictive machines).
     pub fn transposition_methods(&self) -> Vec<Box<dyn Predictor + Send + Sync>> {
-        let mut m = self.methods();
-        m.truncate(2);
-        m
+        let serve = self.serve_config();
+        [ModelKind::NnT, ModelKind::MlpT]
+            .into_iter()
+            .map(|kind| serve.build_model(kind))
+            .collect()
     }
 
     /// Generates the dataset for this configuration, in the block layout
@@ -142,8 +123,8 @@ impl ExperimentConfig {
 
     /// The serving engine's configuration at this experiment's budgets:
     /// same model budgets, same fan-out threads.
-    pub fn serve_config(&self) -> datatrans_core::serve::ServeConfig {
-        datatrans_core::serve::ServeConfig {
+    pub fn serve_config(&self) -> ServeConfig {
+        ServeConfig {
             mlp_epochs: self.mlp_epochs,
             ga_population: self.ga_population,
             ga_generations: self.ga_generations,
