@@ -9,7 +9,7 @@
 //!   (1 thread)           (1/conn)   (mpsc)    (1 thread)  (mpsc)  (1/conn)
 //! ```
 //!
-//! Every parsed line becomes one [`WorkItem`] carrying the connection's
+//! Every parsed line becomes one `WorkItem` carrying the connection's
 //! reply sender. The batcher coalesces items from *all* connections into
 //! one [`serve_batch_cached`] pool pass per window (first item opens the
 //! window; it closes after [`NetServerConfig::window`] or at
@@ -17,7 +17,7 @@
 //! in arrival order. Because the batcher is a single FIFO stage, each
 //! connection's responses come back in the order its requests were sent —
 //! pings and protocol errors also flow through the batcher (as
-//! pre-rendered [`Job::Ready`] lines) precisely to preserve that order.
+//! pre-rendered `Job::Ready` lines) precisely to preserve that order.
 //!
 //! # Backpressure
 //!
