@@ -100,11 +100,9 @@ impl ExperimentConfig {
     /// The two data-transposition methods only (Table 4 evaluates NNᵀ and
     /// MLPᵀ; GA-kNN does not use predictive machines).
     pub fn transposition_methods(&self) -> Vec<Box<dyn Predictor + Send + Sync>> {
-        let serve = self.serve_config();
-        [ModelKind::NnT, ModelKind::MlpT]
-            .into_iter()
-            .map(|kind| serve.build_model(kind))
-            .collect()
+        let mut m = self.methods();
+        m.truncate(2);
+        m
     }
 
     /// Generates the dataset for this configuration, in the block layout
